@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import field as ff
 from .barcode import Bar, Barcode, beta_k, boundary_depth, bottleneck_distance, \
@@ -26,21 +25,6 @@ from .serialize import barcode_to_dict, load_barcode
 from .svg import barcode_to_svg
 
 
-@dataclass
-class RunConfig:
-    characteristic: int = 2
-    max_dim: int = 2
-    seed: int = 0
-    slack: float = 0.05
-    out: str | None = None
-    svg: str | None = None
-
-    def __post_init__(self):
-        ff.check_characteristic(self.characteristic)
-        if self.slack < 0:
-            raise ValueError("slack must be >= 0")
-
-
 class InputError(Exception):
     pass
 
@@ -53,47 +37,38 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
-def _emit(bc: Barcode, cfg: RunConfig) -> None:
+def _emit(bc: Barcode, args) -> None:
     payload = json.dumps(barcode_to_dict(bc), indent=1)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
-    if cfg.svg:
-        with open(cfg.svg, "w") as fh:
+    if args.svg:
+        with open(args.svg, "w") as fh:
             fh.write(barcode_to_svg(bc))
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(characteristic=getattr(args, "field", 2),
-                     max_dim=getattr(args, "max_dim", 2),
-                     seed=getattr(args, "seed", 0),
-                     slack=getattr(args, "slack", 5.0) / 100.0,
-                     out=getattr(args, "out", None),
-                     svg=getattr(args, "svg", None))
-
-
 def _cmd_rips(args) -> int:
-    cfg = _config(args)
+    p = ff.check_characteristic(args.field)
     text = _read(args.input)
     if args.distance_matrix:
         space = parse_distance_matrix(text)
     else:
         space = FiniteMetricSpace.from_points(parse_point_cloud(text).points)
-    _emit(rips_barcode(space, cfg.max_dim, cfg.characteristic), cfg)
+    _emit(rips_barcode(space, args.max_dim, p), args)
     return 0
 
 
 def _cmd_cech(args) -> int:
-    cfg = _config(args)
+    p = ff.check_characteristic(args.field)
     cloud = parse_point_cloud(_read(args.input))
-    _emit(cech_barcode(cloud, cfg.max_dim, cfg.characteristic), cfg)
+    _emit(cech_barcode(cloud, args.max_dim, p), args)
     return 0
 
 
 def _cmd_sublevel(args) -> int:
-    cfg = _config(args)
+    p = ff.check_characteristic(args.field)
     simplices = []
     for ln, raw in enumerate(_read(args.input).splitlines(), start=1):
         line = raw.strip()
@@ -107,23 +82,21 @@ def _cmd_sublevel(args) -> int:
         raise InputError(f"{len(vertices)} vertices but {len(flat)} values")
     vert_values = dict(zip(vertices, flat.tolist()))
     tri = Triangulation(simplices)
-    _emit(barcode_of_complex(sublevel_filtration(tri, vert_values,
-                                                 cfg.characteristic)), cfg)
+    _emit(barcode_of_complex(sublevel_filtration(tri, vert_values, p)), args)
     return 0
 
 
 def _cmd_circle(args) -> int:
-    cfg = _config(args)
+    p = ff.check_characteristic(args.field)
     samples = parse_point_cloud(_read(args.input)).points.reshape(-1)
-    _emit(barcode_of_complex(circle_complex(samples.tolist(),
-                                            cfg.characteristic)), cfg)
+    _emit(barcode_of_complex(circle_complex(samples.tolist(), p)), args)
     return 0
 
 
 def _cmd_torus(args) -> int:
-    cfg = _config(args)
+    p = ff.check_characteristic(args.field)
     grid = parse_grid(_read(args.input), periodic=True, period=args.period)
-    _emit(barcode_of_complex(torus_grid_complex(grid, cfg.characteristic)), cfg)
+    _emit(barcode_of_complex(torus_grid_complex(grid, p)), args)
     return 0
 
 
@@ -192,12 +165,13 @@ def _cmd_ellipsoid(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = _config(args)
+    if args.slack < 0:
+        raise InputError("slack must be >= 0")
     names = list(SCENARIOS) if args.name == "all" else [args.name]
     failed = 0
     for name in names:
         try:
-            result = run_scenario(name, seed=cfg.seed, slack=cfg.slack)
+            result = run_scenario(name, seed=args.seed, slack=args.slack / 100.0)
         except KeyError as e:
             raise InputError(str(e)) from None
         print(result.report())
@@ -211,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Barcodes of filtered complexes and persistence-module machinery.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, dims=True):
+    def pipeline(p, dims=False):
         p.add_argument("--field", type=int, default=2, metavar="P",
                        help="prime field characteristic (default 2)")
         if dims:
@@ -219,38 +193,35 @@ def build_parser() -> argparse.ArgumentParser:
                            help="maximum simplex dimension (default 2)")
         p.add_argument("--out", metavar="PATH", help="write barcode JSON here")
         p.add_argument("--svg", metavar="PATH", help="also render an SVG")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--slack", type=float, default=5.0, metavar="PCT",
-                       help="tolerance percentage for inequality scenarios")
 
     p = sub.add_parser("rips", help="Rips barcode of a point cloud or distance matrix")
     p.add_argument("input")
     p.add_argument("--distance-matrix", action="store_true",
                    help="treat the input as an n x n distance matrix")
-    common(p)
+    pipeline(p, dims=True)
     p.set_defaults(fn=_cmd_rips)
 
     p = sub.add_parser("cech", help="Cech barcode of a low-dimensional point cloud")
     p.add_argument("input")
-    common(p)
+    pipeline(p, dims=True)
     p.set_defaults(fn=_cmd_cech)
 
     p = sub.add_parser("sublevel", help="sublevel barcode of a triangulation")
     p.add_argument("input", help="file with one maximal simplex per line (vertex names)")
     p.add_argument("--values", required=True,
                    help="CSV of vertex values, sorted by vertex name")
-    common(p)
+    pipeline(p)
     p.set_defaults(fn=_cmd_sublevel)
 
     p = sub.add_parser("circle", help="barcode of cyclic samples")
     p.add_argument("input", help="CSV of sample values")
-    common(p)
+    pipeline(p)
     p.set_defaults(fn=_cmd_circle)
 
     p = sub.add_parser("torus", help="sublevel barcode of a periodic grid")
     p.add_argument("input", help="grid CSV: ny lines of nx values")
     p.add_argument("--period", type=float, default=2 * math.pi)
-    common(p)
+    pipeline(p)
     p.set_defaults(fn=_cmd_torus)
 
     p = sub.add_parser("distance", help="bottleneck distance of two barcode files")
@@ -279,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a named worked-example scenario")
     p.add_argument("name", help="scenario name or 'all'; see --list")
-    common(p, dims=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--slack", type=float, default=5.0, metavar="PCT",
+                   help="tolerance percentage for inequality scenarios")
     p.set_defaults(fn=_cmd_reproduce)
 
     return ap

@@ -87,12 +87,12 @@ class FilteredComplex:
 
     def cells_of_degree(self, k: int) -> list[Cell]:
         """Cells of degree k in reduction order (value, then id)."""
-        return sorted((c for c in self.cells if c.degree == k),
-                      key=lambda c: (c.value, _id_key(c.id)))
+        return sorted((c for c in self.cells if c.degree == k), key=_order_key)
 
 
-def _id_key(cell_id):
-    return (str(type(cell_id)), repr(cell_id))
+def _order_key(cell: Cell):
+    """Reduction order: degree-major, then filtration value, then id."""
+    return (cell.degree, cell.value, str(type(cell.id)), repr(cell.id))
 
 
 @dataclass
@@ -113,52 +113,87 @@ class JordanPairing:
     basis: Optional[dict[int, list[dict[int, int]]]] = None
 
 
-def _reduce_degree_gf2(columns: list[int]) -> tuple[dict[int, int], list[int], list[int]]:
-    """Standard low-driven reduction over GF(2) with bitmask columns.
+def _columns(boundary: dict, col_ids: Iterable, row_index: dict,
+             p: int) -> list[dict[int, int]]:
+    """Boundary columns of col_ids as {row: coeff mod p}, with rows
+    numbered by row_index and zero coefficients dropped."""
+    return [{row_index[f]: coeff % p for f, coeff in boundary.get(cid, {}).items()
+             if coeff % p} for cid in col_ids]
 
-    Returns (pivot row -> column index, reduced columns, ops) where ops
-    records (j, i) column additions for basis tracking.
+
+def _dense(columns: list[dict[int, int]], n_rows: int) -> np.ndarray:
+    m = ff.zeros(n_rows, len(columns))
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            m[r, j] = v
+    return m
+
+
+def _bits(mask: int) -> dict[int, int]:
+    out = {}
+    while mask:
+        low_bit = mask & -mask
+        out[low_bit.bit_length() - 1] = 1
+        mask ^= low_bit
+    return out
+
+
+def _subtract(col: dict[int, int], other: dict[int, int], lam: int, p: int) -> None:
+    """col -= lam * other over F_p, in place, dropping zero entries."""
+    for r, v in other.items():
+        nv = (col.get(r, 0) - lam * v) % p
+        if nv:
+            col[r] = nv
+        else:
+            col.pop(r, None)
+
+
+def _reduce(columns: list[dict[int, int]], p: int, want_basis: bool):
+    """Low-driven column reduction over F_p: each column in turn subtracts
+    earlier reduced columns until its lowest row is new, and pairs with
+    that row, or it vanishes.  Over F_2 columns are bitmasks and each
+    subtraction is one xor; otherwise the {row: coeff} columns are reduced
+    in place.
+
+    Returns (pairing, reduced, basis): pairing maps column j to its lowest
+    row.  With want_basis, reduced[j] is the reduced column and basis[j]
+    the triangular combination of input columns that gives it, both as
+    {index: coeff}; without it both are None.
     """
     low_to_col: dict[int, int] = {}
-    ops: list[tuple[int, int]] = []
-    cols = list(columns)
-    for j in range(len(cols)):
-        col = cols[j]
-        while col:
-            low = col.bit_length() - 1
-            pivot = low_to_col.get(low)
-            if pivot is None:
-                low_to_col[low] = j
-                break
-            col ^= cols[pivot]
-            ops.append((j, pivot))
-        cols[j] = col
-    return low_to_col, cols, ops
-
-
-def _reduce_degree_modp(columns: list[dict[int, int]], p: int):
-    """Same reduction with {row: coeff} columns over F_p."""
-    low_to_col: dict[int, int] = {}
-    ops: list[tuple[int, int, int]] = []
-    cols = [dict(c) for c in columns]
-    for j in range(len(cols)):
-        col = cols[j]
-        while col:
-            low = max(col)
-            pivot = low_to_col.get(low)
-            if pivot is None:
-                low_to_col[low] = j
-                break
-            lam = (col[low] * ff.inv_mod(cols[pivot][low], p)) % p
-            for r, v in cols[pivot].items():
-                nv = (col.get(r, 0) - lam * v) % p
-                if nv:
-                    col[r] = nv
-                else:
-                    col.pop(r, None)
-            ops.append((j, pivot, lam))
-        cols[j] = col
-    return low_to_col, cols, ops
+    if p == 2:
+        cols = [sum(1 << r for r in col) for col in columns]
+        basis = [1 << j for j in range(len(cols))] if want_basis else None
+        for j in range(len(cols)):
+            col = cols[j]
+            while col:
+                low = col.bit_length() - 1
+                i = low_to_col.get(low)
+                if i is None:
+                    low_to_col[low] = j
+                    break
+                col ^= cols[i]
+                if want_basis:
+                    basis[j] ^= basis[i]
+            cols[j] = col
+        if want_basis:
+            cols, basis = [_bits(m) for m in cols], [_bits(m) for m in basis]
+    else:
+        cols = columns
+        basis = [{j: 1} for j in range(len(cols))] if want_basis else None
+        for j, col in enumerate(cols):
+            while col:
+                low = max(col)
+                i = low_to_col.get(low)
+                if i is None:
+                    low_to_col[low] = j
+                    break
+                lam = (col[low] * ff.inv_mod(cols[i][low], p)) % p
+                _subtract(col, cols[i], lam, p)
+                if want_basis:
+                    _subtract(basis[j], basis[i], lam, p)
+    pairing = {j: low for low, j in low_to_col.items()}
+    return pairing, (cols if want_basis else None), basis
 
 
 def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPairing:
@@ -167,7 +202,7 @@ def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPair
 
     The recursion subtracts the already-paired part of each new column
     and pairs what survives with its maximal-index term; that is exactly
-    the low-driven column reduction below.
+    the low-driven column reduction of _reduce.
     """
     order: dict[int, list] = {}
     values: dict[int, list[float]] = {}
@@ -180,62 +215,21 @@ def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPair
             index_of[cell.id] = i
 
     pairing: dict[int, dict[int, int]] = {}
-    unpaired: dict[int, list[int]] = {}
     basis: Optional[dict[int, list[dict[int, int]]]] = {} if want_basis else None
-    if want_basis:
-        for k in order:
-            basis[k] = [{j: 1} for j in range(len(order[k]))]
-
-    for k in sorted(order):
-        if k == 0:
-            pairing[0] = {}
-            continue
-        if c.p == 2:
-            masks = []
-            for cid in order[k]:
-                mask = 0
-                for f, coeff in c.boundary.get(cid, {}).items():
-                    if coeff % 2:
-                        mask |= 1 << index_of[f]
-                masks.append(mask)
-            low_to_col, reduced, ops = _reduce_degree_gf2(masks)
-            ops = [(j, i, 1) for j, i in ops]
-
-            def col_dict(j):
-                out, m = {}, reduced[j]
-                while m:
-                    low_bit = m & -m
-                    out[low_bit.bit_length() - 1] = 1
-                    m ^= low_bit
-                return out
-        else:
-            cols_dict = []
-            for cid in order[k]:
-                bd = c.boundary.get(cid, {})
-                cols_dict.append({index_of[f]: coeff % c.p
-                                  for f, coeff in bd.items() if coeff % c.p})
-            low_to_col, reduced_cols, ops = _reduce_degree_modp(cols_dict, c.p)
-
-            def col_dict(j):
-                return dict(reduced_cols[j])
-        pairing[k] = {j: low for low, j in low_to_col.items()}
+    for k in order:
+        pairing[k], reduced, basis_k = _reduce(
+            _columns(c.boundary, order[k], index_of, c.p), c.p, want_basis)
         if want_basis:
-            for j, i, lam in ops:
-                col_j = basis[k][j]
-                for r, v in basis[k][i].items():
-                    nv = (col_j.get(r, 0) - lam * v) % c.p
-                    if nv:
-                        col_j[r] = nv
-                    else:
-                        col_j.pop(r, None)
+            basis[k] = basis_k
             # replacement step: the partner's basis vector becomes d(f_j)
             for j, low in pairing[k].items():
-                basis[k - 1][low] = col_dict(j)
+                basis[k - 1][low] = reduced[j]
 
-    for k in sorted(order):
+    unpaired: dict[int, list[int]] = {}
+    for k in order:
         hit_from_above = set(pairing.get(k + 1, {}).values())
         unpaired[k] = [j for j in range(len(order[k]))
-                       if j not in pairing.get(k, {}) and j not in hit_from_above]
+                       if j not in pairing[k] and j not in hit_from_above]
     return JordanPairing(order, values, pairing, unpaired, basis)
 
 
@@ -267,38 +261,22 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
     values = c.filtration_values()
     if not values:
         return 0.0
-    index_all = {cell.id: i for i, cell in enumerate(c.cells)}
-    n = len(c.cells)
-
-    def chain_matrix(ids: Iterable) -> np.ndarray:
-        cols = []
-        for cid in ids:
-            v = np.zeros(n, dtype=np.int64)
-            for f, coeff in c.boundary.get(cid, {}).items():
-                v[index_all[f]] = coeff % p
-            cols.append(v)
-        return np.array(cols, dtype=np.int64).T if cols else ff.zeros(n, 0)
-
-    full_image = chain_matrix(cell.id for cell in c.cells)
-    cell_level = np.array([cell.value for cell in c.cells])
+    cells = sorted(c.cells, key=_order_key)
+    index = {cell.id: i for i, cell in enumerate(cells)}
+    image = _dense(_columns(c.boundary, (cell.id for cell in cells), index, p), len(cells))
+    cell_level = np.array([cell.value for cell in cells])
 
     def feasible(alpha: float) -> bool:
         for lam in values:
-            inside = cell_level <= lam
             # basis of (im d) cap C^lam: solve for image vectors supported in C^lam
-            img = full_image
-            if img.shape[1] == 0:
-                continue
-            outside_rows = np.nonzero(~inside)[0]
-            ker = ff.kernel_basis(img[outside_rows, :], p) if outside_rows.size \
-                else ff.eye(img.shape[1])
-            inter = ff.matmul(img, ker, p)  # spans (im d) cap C^lam
-            if inter.shape[1] == 0 or not inter.any():
+            outside = cell_level > lam
+            ker = ff.kernel_basis(image[outside, :], p) if outside.any() else ff.eye(len(cells))
+            inter = ff.matmul(image, ker, p)  # spans (im d) cap C^lam
+            if not inter.any():
                 continue
             # value - lam <= alpha, not value <= lam + alpha: the candidate
             # alphas are exactly these differences, so compare the same way
-            allowed = [cell.id for cell in c.cells if cell.value - lam <= alpha]
-            target = chain_matrix(allowed)
+            target = image[:, cell_level - lam <= alpha]
             for col in range(inter.shape[1]):
                 if not ff.in_span(inter[:, col], target, p):
                     return False
@@ -321,20 +299,12 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
     """
     p = c.p
     cells_k = c.cells_of_degree(degree)
-    cells_km1 = c.cells_of_degree(degree - 1) if degree > 0 else []
+    cells_km1 = c.cells_of_degree(degree - 1)
     cells_kp1 = c.cells_of_degree(degree + 1)
     idx_k = {cell.id: i for i, cell in enumerate(cells_k)}
     idx_km1 = {cell.id: i for i, cell in enumerate(cells_km1)}
-
-    def d_matrix(cols_cells, row_index, n_rows) -> np.ndarray:
-        m = ff.zeros(n_rows, len(cols_cells))
-        for j, cell in enumerate(cols_cells):
-            for f, coeff in c.boundary.get(cell.id, {}).items():
-                m[row_index[f], j] = coeff % p
-        return m
-
-    d_k = d_matrix(cells_k, idx_km1, len(cells_km1))
-    d_kp1 = d_matrix(cells_kp1, idx_k, len(cells_k))
+    d_k = _dense(_columns(c.boundary, (x.id for x in cells_k), idx_km1, p), len(cells_km1))
+    d_kp1 = _dense(_columns(c.boundary, (x.id for x in cells_kp1), idx_k, p), len(cells_k))
     out = []
     for level in c.filtration_values():
         sel_k = [i for i, cell in enumerate(cells_k) if cell.value <= level]
@@ -363,9 +333,13 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
 def homology_module(c: FilteredComplex, degree: int) -> ModuleRep:
     """Persistence module of H_degree over the filtration, with
     inclusion-induced maps; independent of the reduction route."""
+    return _module_of_slices(c, homology_slice_bases(c, degree))
+
+
+def _module_of_slices(c: FilteredComplex, reps_by_level) -> ModuleRep:
+    """The homology module in the bases homology_slice_bases chose."""
     p = c.p
     levels = c.filtration_values()
-    reps_by_level = homology_slice_bases(c, degree)
     dims = [0] + [reps.shape[1] for reps, _, _ in reps_by_level]
     maps = [ff.zeros(dims[1], 0)]
     for t in range(len(levels) - 1):
@@ -424,7 +398,7 @@ def parse_complex(text: str, p: int = ff.DEFAULT_P) -> FilteredComplex:
 
 def format_complex(c: FilteredComplex) -> str:
     lines = []
-    for cell in sorted(c.cells, key=lambda x: (x.degree, x.value, _id_key(x.id))):
+    for cell in sorted(c.cells, key=_order_key):
         bd = c.boundary.get(cell.id, {})
         if c.p == 2:
             faces = " ".join(str(f) for f, coeff in sorted(bd.items(), key=lambda t: str(t[0]))
@@ -457,13 +431,12 @@ def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,
         if not below:
             continue
         # boundary = random element of ker(d_{k-1})
-        idx = {cell.id: t for t, cell in enumerate(below)}
-        rows = {cell.id: t for t, cell in enumerate(by_degree[k - 2])} if k >= 2 else {}
-        dmat = ff.zeros(len(rows), len(below))
-        for t, cell in enumerate(below):
-            for f, coeff in boundary[cell.id].items():
-                dmat[rows[f], t] = coeff % p
-        ker = ff.kernel_basis(dmat, p) if k >= 2 else ff.eye(len(below))
+        if k >= 2:
+            rows = {cell.id: t for t, cell in enumerate(by_degree[k - 2])}
+            ker = ff.kernel_basis(_dense(_columns(boundary, (x.id for x in below), rows, p),
+                                         len(rows)), p)
+        else:
+            ker = ff.eye(len(below))
         if ker.shape[1] == 0:
             continue
         coeffs = np.mod(ker @ np.array([rng.randrange(p) for _ in range(ker.shape[1])]), p)

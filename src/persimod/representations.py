@@ -10,13 +10,12 @@ of -1, so representations live over an odd characteristic; F_5 works
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import field as ff
 from .barcode import Bar, Barcode, mu_odd
-from .filtered_complex import FilteredComplex, homology_module
+from .filtered_complex import FilteredComplex, _module_of_slices, homology_slice_bases
 from .module_rep import ModuleRep, barcode
 
 DEFAULT_REP_P = 5
@@ -116,59 +115,6 @@ def z4_obstruction_bound(r: ModuleRepWithAction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# action specification files
-
-
-def parse_action_spec(d: dict):
-    """Action specification: either a (signed) cell permutation or explicit
-    slice matrices.
-
-    {"type": "cell-map", "order": g, "map": {"id": "img" | ["img", coeff]}}
-    {"type": "slice-matrices", "order": g, "matrices": [row-major ints, ...]}
-
-    Returns ("cell-map", order, mapping) or ("slice-matrices", order, mats);
-    slice matrices are reshaped by the caller against its module dims.
-    """
-    kind = d.get("type")
-    order = d.get("order")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError("action spec needs a positive integer 'order'")
-    if kind == "cell-map":
-        mapping = {}
-        for k, v in d.get("map", {}).items():
-            if isinstance(v, (list, tuple)):
-                img, coeff = v
-                mapping[k] = (img, int(coeff))
-            else:
-                mapping[k] = (v, 1)
-        return kind, order, mapping
-    if kind == "slice-matrices":
-        mats = d.get("matrices")
-        if not isinstance(mats, list):
-            raise ValueError("slice-matrices spec needs a 'matrices' list")
-        return kind, order, [list(map(int, m)) for m in mats]
-    raise ValueError(f"unknown action spec type {kind!r}")
-
-
-def action_from_spec(d: dict, c: Optional[FilteredComplex] = None,
-                     rep: Optional[ModuleRep] = None,
-                     degree: int = 0) -> ModuleRepWithAction:
-    """Build a ModuleRepWithAction from a parsed action specification."""
-    kind, order, payload = parse_action_spec(d)
-    if kind == "cell-map":
-        if c is None:
-            raise ValueError("cell-map specs need the filtered complex")
-        return action_from_cell_map(c, payload, degree, order)
-    if rep is None:
-        raise ValueError("slice-matrices specs need the module")
-    if len(payload) != len(rep.dims):
-        raise ValueError("need one matrix per interval")
-    mats = [np.array(flat, dtype=np.int64).reshape(dim, dim)
-            for flat, dim in zip(payload, rep.dims)]
-    return ModuleRepWithAction(rep, order, mats)
-
-
-# ---------------------------------------------------------------------------
 # actions coming from cell symmetries of filtered complexes
 
 
@@ -232,7 +178,7 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
         if any((lhs.get(k, 0) - rhs.get(k, 0)) % p for k in keys):
             raise EquivarianceError(f"cell map is not a chain map at {cid}")
 
-    rep = homology_module(c, degree)
+    slices = homology_slice_bases(c, degree)
     cells_k = c.cells_of_degree(degree)
     idx = {cell.id: i for i, cell in enumerate(cells_k)}
     perm = ff.zeros(len(cells_k), len(cells_k))
@@ -241,9 +187,8 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
         perm[idx[img], idx[cell.id]] = coeff % p
 
     # express the action in the exact homology bases of homology_module
-    from .filtered_complex import homology_slice_bases
     action = [ff.zeros(0, 0)]
-    for reps, bnd, sel in homology_slice_bases(c, degree):
+    for reps, bnd, sel in slices:
         if reps.shape[1] == 0:
             action.append(ff.zeros(0, 0))
             continue
@@ -251,4 +196,4 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
         mapped = ff.matmul(sub_perm, reps, p)
         sol = ff.solve(np.hstack([bnd, reps]), mapped, p)
         action.append(sol[bnd.shape[1]:, :])
-    return ModuleRepWithAction(rep, order, action)
+    return ModuleRepWithAction(_module_of_slices(c, slices), order, action)

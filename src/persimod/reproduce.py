@@ -554,7 +554,3 @@ def run_scenario(name: str, seed: int = 0, slack: float = 0.05) -> ScenarioResul
     fn, _ = SCENARIOS[name]
     chk = fn(seed, slack)
     return ScenarioResult(name, chk.ok, chk.lines)
-
-
-def run_all(seed: int = 0, slack: float = 0.05) -> list[ScenarioResult]:
-    return [run_scenario(name, seed, slack) for name in SCENARIOS]

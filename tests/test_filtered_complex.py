@@ -151,6 +151,36 @@ def test_homology_module_oracle():
         assert abs(boundary_depth_usher(c) - boundary_depth(bc)) < 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 5])
+def test_cell_list_order_does_not_matter(p):
+    rng = random.Random(40 + p)
+    for _ in range(25):
+        c = random_filtered_complex(rng, max_cells=20, max_degree=2, p=p)
+        cells = list(c.cells)
+        rng.shuffle(cells)
+        shuffled = FilteredComplex(cells, c.boundary, p)
+        assert barcode_of_complex(shuffled) == barcode_of_complex(c)
+        assert boundary_depth_usher(shuffled) == boundary_depth_usher(c)
+        for k in range(c.max_degree + 1):
+            assert rep_barcode(homology_module(shuffled, k)) == rep_barcode(homology_module(c, k))
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_reduce_without_basis_keeps_the_pairing(p):
+    rng = random.Random(50 + p)
+    pairs = 0
+    for _ in range(30):
+        c = random_filtered_complex(rng, max_cells=25, max_degree=3, p=p)
+        full = barannikov_reduce(c, want_basis=True)
+        bare = barannikov_reduce(c, want_basis=False)
+        assert bare.basis is None
+        assert bare.order == full.order
+        assert bare.pairing == full.pairing
+        assert bare.unpaired == full.unpaired
+        pairs += sum(len(m) for m in full.pairing.values())
+    assert pairs > 0
+
+
 def test_homology_module_examples():
     c = heart_sphere()
     assert rep_barcode(homology_module(c, 1)) == Barcode([Bar(1, 2)])

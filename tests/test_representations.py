@@ -183,24 +183,3 @@ def test_z4_bound_requires_involution():
     act = [np.mod(2 * ff.eye(d), 5) for d in v.dims]
     with pytest.raises(ValueError):
         z4_obstruction_bound(ModuleRepWithAction(v, 4, act))
-
-
-def test_action_spec_parsing():
-    from persimod.representations import action_from_spec, parse_action_spec
-    teeth = FilteredComplex(
-        [Cell("x", 0, 1.0), Cell("y", 0, 1.0), Cell("s", 1, 2.0), Cell("N", 2, 4.0)],
-        {"x": {}, "y": {}, "s": {"x": 1, "y": 4}, "N": {}}, p=5)
-    spec = {"type": "cell-map", "order": 2,
-            "map": {"x": "y", "y": "x", "s": ["s", 4], "N": "N"}}
-    r = action_from_spec(spec, c=teeth, degree=0)
-    assert verify_representation(r)
-    assert z4_obstruction_bound(r) == 0.25
-    v = from_barcode(Barcode([Bar(0, 1)]), p=5)
-    mats = {"type": "slice-matrices", "order": 2,
-            "matrices": [[], [4], []]}
-    r2 = action_from_spec(mats, rep=v)
-    assert verify_representation(r2)
-    with pytest.raises(ValueError):
-        parse_action_spec({"type": "cell-map"})
-    with pytest.raises(ValueError):
-        parse_action_spec({"type": "nope", "order": 2})
