@@ -170,19 +170,29 @@ def _one_sided_cover(mandatory: list[int], adj: list[list[int]],
     Returns other-side partner array (partner[j] = mandatory-side vertex).
     """
     partner = [-1] * n_other
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if seen[v]:
+    for root in mandatory:
+        # depth-first search for an augmenting path on an explicit stack of
+        # (vertex, its untried edges), so no recursion limit applies;
+        # stack[d] reached stack[d + 1] through the other-side vertex taken[d]
+        seen = [False] * n_other
+        stack, taken = [(root, iter(adj[root]))], []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    break
+            else:                    # dead end: back up one step
+                stack.pop()
+                if taken:
+                    taken.pop()
                 continue
             seen[v] = True
-            if partner[v] == -1 or augment(partner[v], seen):
-                partner[v] = u
-                return True
-        return False
-
-    for u in mandatory:
-        if not augment(u, [False] * n_other):
+            taken.append(v)
+            if partner[v] == -1:     # augment along the path
+                for (u, _), w in zip(stack, taken):
+                    partner[w] = u
+                break
+            stack.append((partner[v], iter(adj[partner[v]])))
+        else:
             return None
     return partner
 

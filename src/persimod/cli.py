@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ellipsoid)
 
     p = sub.add_parser("reproduce", help="run a named worked-example scenario")
-    p.add_argument("name", help="scenario name or 'all'; see --list")
+    p.add_argument("name", help="scenario name or 'all'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slack", type=float, default=5.0, metavar="PCT",
                    help="tolerance percentage for inequality scenarios")

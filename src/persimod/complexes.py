@@ -15,7 +15,7 @@ import numpy as np
 
 from . import field as ff
 from .barcode import Bar, Barcode
-from .filtered_complex import Cell, FilteredComplex
+from .filtered_complex import Cell, FilteredComplex, barcode_of_complex
 
 INF = math.inf
 
@@ -183,14 +183,12 @@ def drop_top_degree(b: Barcode, max_dim: int) -> Barcode:
 def rips_barcode(x: FiniteMetricSpace, max_dim: int,
                  p: int = ff.DEFAULT_P) -> Barcode:
     """Degree-tagged Rips barcode in degrees 0 .. max_dim-1."""
-    from .filtered_complex import barcode_of_complex
     return drop_top_degree(barcode_of_complex(rips_complex(x, max_dim, p)), max_dim)
 
 
 def cech_barcode(cloud: PointCloud, max_dim: int,
                  p: int = ff.DEFAULT_P) -> Barcode:
     """Degree-tagged Cech barcode in degrees 0 .. max_dim-1."""
-    from .filtered_complex import barcode_of_complex
     return drop_top_degree(barcode_of_complex(cech_complex(cloud, max_dim, p)), max_dim)
 
 

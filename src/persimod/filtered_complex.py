@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class FilteredComplex:
 
     boundary maps a cell id to {face id: coefficient}; faces must live in
     the degree right below and at a filtration value <= the cell's own.
+    cells and boundary are read once, at construction, which validates
+    them and stores what every consumer reads: per degree, the cells in
+    reduction order and their boundary columns {row: coeff mod p} (rows
+    index the degree below), and a map id -> (cell, index in its degree).
     """
 
     cells: list[Cell]
@@ -49,35 +53,45 @@ class FilteredComplex:
 
     def __post_init__(self):
         ff.check_characteristic(self.p)
-        by_id = {c.id: c for c in self.cells}
-        if len(by_id) != len(self.cells):
+        p = self.p
+        cells_of: dict[int, list[Cell]] = {}
+        where: dict = {}  # cell id -> (cell, index within its degree)
+        for cell in sorted(self.cells, key=_order_key):
+            same = cells_of.setdefault(cell.degree, [])
+            where[cell.id] = (cell, len(same))
+            same.append(cell)
+        if len(where) != len(self.cells):
             raise InvalidComplexError("duplicate cell ids")
+        columns = {k: [None] * len(same) for k, same in cells_of.items()}
         for c in self.cells:
+            col = {}
             for face_id, coeff in self.boundary.get(c.id, {}).items():
-                face = by_id.get(face_id)
-                if face is None:
+                hit = where.get(face_id)
+                if hit is None:
                     raise InvalidComplexError(f"boundary of {c.id} hits unknown cell {face_id}")
+                face, row = hit
                 if face.degree != c.degree - 1:
                     raise InvalidComplexError(
                         f"boundary of {c.id} (degree {c.degree}) hits degree {face.degree}")
                 if face.value > c.value:
                     raise InvalidComplexError(
                         f"filtration increases along boundary of {c.id}")
-        self._by_id = by_id
-        self._check_dd_zero()
-
-    def _check_dd_zero(self):
+                if coeff % p:
+                    col[row] = coeff % p
+            columns[c.degree][where[c.id][1]] = col
         for c in self.cells:
+            below = columns.get(c.degree - 1)
             acc: dict = {}
-            for face_id, coeff in self.boundary.get(c.id, {}).items():
-                for f2, c2 in self.boundary.get(face_id, {}).items():
-                    acc[f2] = (acc.get(f2, 0) + coeff * c2) % self.p
-            if any(v % self.p for v in acc.values()):
+            for row, coeff in columns[c.degree][where[c.id][1]].items():
+                for r2, c2 in below[row].items():
+                    acc[r2] = (acc.get(r2, 0) + coeff * c2) % p
+            if any(acc.values()):
                 raise InvalidComplexError(f"d(d({c.id})) != 0")
+        self._degree_cells, self._degree_columns, self._where = cells_of, columns, where
 
     @property
     def max_degree(self) -> int:
-        return max((c.degree for c in self.cells), default=-1)
+        return max(self._degree_cells, default=-1)
 
     def n_cells(self) -> int:
         return len(self.cells)
@@ -87,7 +101,7 @@ class FilteredComplex:
 
     def cells_of_degree(self, k: int) -> list[Cell]:
         """Cells of degree k in reduction order (value, then id)."""
-        return sorted((c for c in self.cells if c.degree == k), key=_order_key)
+        return list(self._degree_cells.get(k, []))
 
 
 def _order_key(cell: Cell):
@@ -111,14 +125,6 @@ class JordanPairing:
     pairing: dict[int, dict[int, int]]
     unpaired: dict[int, list[int]]
     basis: Optional[dict[int, list[dict[int, int]]]] = None
-
-
-def _columns(boundary: dict, col_ids: Iterable, row_index: dict,
-             p: int) -> list[dict[int, int]]:
-    """Boundary columns of col_ids as {row: coeff mod p}, with rows
-    numbered by row_index and zero coefficients dropped."""
-    return [{row_index[f]: coeff % p for f, coeff in boundary.get(cid, {}).items()
-             if coeff % p} for cid in col_ids]
 
 
 def _dense(columns: list[dict[int, int]], n_rows: int) -> np.ndarray:
@@ -152,8 +158,8 @@ def _reduce(columns: list[dict[int, int]], p: int, want_basis: bool):
     """Low-driven column reduction over F_p: each column in turn subtracts
     earlier reduced columns until its lowest row is new, and pairs with
     that row, or it vanishes.  Over F_2 columns are bitmasks and each
-    subtraction is one xor; otherwise the {row: coeff} columns are reduced
-    in place.
+    subtraction is one xor; otherwise copies of the {row: coeff} columns
+    are reduced in place, so the input columns are never changed.
 
     Returns (pairing, reduced, basis): pairing maps column j to its lowest
     row.  With want_basis, reduced[j] is the reduced column and basis[j]
@@ -179,7 +185,7 @@ def _reduce(columns: list[dict[int, int]], p: int, want_basis: bool):
         if want_basis:
             cols, basis = [_bits(m) for m in cols], [_bits(m) for m in basis]
     else:
-        cols = columns
+        cols = [dict(col) for col in columns]
         basis = [{j: 1} for j in range(len(cols))] if want_basis else None
         for j, col in enumerate(cols):
             while col:
@@ -206,19 +212,13 @@ def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPair
     """
     order: dict[int, list] = {}
     values: dict[int, list[float]] = {}
-    index_of: dict[object, int] = {}
-    for k in range(c.max_degree + 1):
-        cells = c.cells_of_degree(k)
-        order[k] = [cell.id for cell in cells]
-        values[k] = [cell.value for cell in cells]
-        for i, cell in enumerate(cells):
-            index_of[cell.id] = i
-
     pairing: dict[int, dict[int, int]] = {}
     basis: Optional[dict[int, list[dict[int, int]]]] = {} if want_basis else None
-    for k in order:
-        pairing[k], reduced, basis_k = _reduce(
-            _columns(c.boundary, order[k], index_of, c.p), c.p, want_basis)
+    for k in range(c.max_degree + 1):
+        cells = c._degree_cells.get(k, [])
+        order[k] = [cell.id for cell in cells]
+        values[k] = [cell.value for cell in cells]
+        pairing[k], reduced, basis_k = _reduce(c._degree_columns.get(k, []), c.p, want_basis)
         if want_basis:
             basis[k] = basis_k
             # replacement step: the partner's basis vector becomes d(f_j)
@@ -233,7 +233,7 @@ def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPair
     return JordanPairing(order, values, pairing, unpaired, basis)
 
 
-def barcode_of_complex(c: FilteredComplex, want_pairing: bool = False):
+def barcode_of_complex(c: FilteredComplex) -> Barcode:
     """Degree-tagged barcode of the homology persistence module.
 
     Pairs with equal filtration values produce no bar (non-essential);
@@ -249,8 +249,7 @@ def barcode_of_complex(c: FilteredComplex, want_pairing: bool = False):
                 bars.append(Bar(a, b, degree=k - 1))
         for j in jp.unpaired[k]:
             bars.append(Bar(jp.values[k][j], INF, degree=k))
-    bc = Barcode(sorted(bars))
-    return (bc, jp) if want_pairing else bc
+    return Barcode(sorted(bars))
 
 
 def boundary_depth_usher(c: FilteredComplex) -> float:
@@ -261,19 +260,27 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
     values = c.filtration_values()
     if not values:
         return 0.0
-    cells = sorted(c.cells, key=_order_key)
-    index = {cell.id: i for i, cell in enumerate(cells)}
-    image = _dense(_columns(c.boundary, (cell.id for cell in cells), index, p), len(cells))
+    # all cells in degree-major reduction order, rows offset to match
+    offset: dict[int, int] = {}
+    cells: list[Cell] = []
+    for k in sorted(c._degree_cells):
+        offset[k] = len(cells)
+        cells += c._degree_cells[k]
+    image = _dense([{offset[k - 1] + r: v for r, v in col.items()}
+                    for k in offset for col in c._degree_columns[k]], len(cells))
     cell_level = np.array([cell.value for cell in cells])
 
+    # basis of (im d) cap C^lam per level: solve for image vectors supported in C^lam
+    boundaries_at = []
+    for lam in values:
+        outside = cell_level > lam
+        ker = ff.kernel_basis(image[outside, :], p) if outside.any() else ff.eye(len(cells))
+        inter = ff.matmul(image, ker, p)
+        if inter.any():
+            boundaries_at.append((lam, inter))
+
     def feasible(alpha: float) -> bool:
-        for lam in values:
-            # basis of (im d) cap C^lam: solve for image vectors supported in C^lam
-            outside = cell_level > lam
-            ker = ff.kernel_basis(image[outside, :], p) if outside.any() else ff.eye(len(cells))
-            inter = ff.matmul(image, ker, p)  # spans (im d) cap C^lam
-            if not inter.any():
-                continue
+        for lam, inter in boundaries_at:
             # value - lam <= alpha, not value <= lam + alpha: the candidate
             # alphas are exactly these differences, so compare the same way
             target = image[:, cell_level - lam <= alpha]
@@ -298,13 +305,11 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
     on this exact basis choice.
     """
     p = c.p
-    cells_k = c.cells_of_degree(degree)
-    cells_km1 = c.cells_of_degree(degree - 1)
-    cells_kp1 = c.cells_of_degree(degree + 1)
-    idx_k = {cell.id: i for i, cell in enumerate(cells_k)}
-    idx_km1 = {cell.id: i for i, cell in enumerate(cells_km1)}
-    d_k = _dense(_columns(c.boundary, (x.id for x in cells_k), idx_km1, p), len(cells_km1))
-    d_kp1 = _dense(_columns(c.boundary, (x.id for x in cells_kp1), idx_k, p), len(cells_k))
+    cells_k = c._degree_cells.get(degree, [])
+    cells_km1 = c._degree_cells.get(degree - 1, [])
+    cells_kp1 = c._degree_cells.get(degree + 1, [])
+    d_k = _dense(c._degree_columns.get(degree, []), len(cells_km1))
+    d_kp1 = _dense(c._degree_columns.get(degree + 1, []), len(cells_k))
     out = []
     for level in c.filtration_values():
         sel_k = [i for i, cell in enumerate(cells_k) if cell.value <= level]
@@ -349,9 +354,7 @@ def _module_of_slices(c: FilteredComplex, reps_by_level) -> ModuleRep:
         if dims[t + 1] and dims[t + 2]:
             pos = {g: i for i, g in enumerate(sel_t)}
             lift = ff.zeros(len(sel_t), reps_s.shape[1])
-            for j in range(reps_s.shape[1]):
-                for local_i, g in enumerate(sel_s):
-                    lift[pos[g], j] = reps_s[local_i, j]
+            lift[[pos[g] for g in sel_s]] = reps_s
             sol = ff.solve(np.hstack([bnd_t, reps_t]), lift, p)
             m = sol[bnd_t.shape[1]:, :]
         elif dims[t + 1] and not dims[t + 2]:
@@ -398,15 +401,13 @@ def parse_complex(text: str, p: int = ff.DEFAULT_P) -> FilteredComplex:
 
 def format_complex(c: FilteredComplex) -> str:
     lines = []
-    for cell in sorted(c.cells, key=_order_key):
-        bd = c.boundary.get(cell.id, {})
-        if c.p == 2:
-            faces = " ".join(str(f) for f, coeff in sorted(bd.items(), key=lambda t: str(t[0]))
-                             if coeff % 2)
-        else:
-            faces = " ".join(f"{f}:{coeff % c.p}" for f, coeff in
-                             sorted(bd.items(), key=lambda t: str(t[0])) if coeff % c.p)
-        lines.append(f"{cell.id} {cell.degree} {cell.value!r} : {faces}".rstrip())
+    for k in sorted(c._degree_cells):
+        for cell, col in zip(c._degree_cells[k], c._degree_columns[k]):
+            bd = sorted(((c._degree_cells[k - 1][r].id, v) for r, v in col.items()),
+                        key=lambda t: str(t[0]))
+            # over F_2 every stored coefficient is 1, so it is left implicit
+            faces = " ".join(str(f) if c.p == 2 else f"{f}:{v}" for f, v in bd)
+            lines.append(f"{cell.id} {cell.degree} {cell.value!r} : {faces}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -433,8 +434,8 @@ def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,
         # boundary = random element of ker(d_{k-1})
         if k >= 2:
             rows = {cell.id: t for t, cell in enumerate(by_degree[k - 2])}
-            ker = ff.kernel_basis(_dense(_columns(boundary, (x.id for x in below), rows, p),
-                                         len(rows)), p)
+            ker = ff.kernel_basis(_dense([{rows[f]: v for f, v in boundary[x.id].items()}
+                                          for x in below], len(rows)), p)
         else:
             ker = ff.eye(len(below))
         if ker.shape[1] == 0:

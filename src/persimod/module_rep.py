@@ -61,10 +61,6 @@ class ModuleRep:
                     f"map {i} has shape {m.shape}, expected "
                     f"({self.dims[i + 1]}, {self.dims[i]})")
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.dims)
-
     def interval(self, i: int) -> tuple[float, float]:
         """Endpoints of Q_i for 1-based i."""
         lo = -INF if i == 1 else self.spectrum[i - 2]

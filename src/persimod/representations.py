@@ -159,32 +159,30 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
     norm = {}
     for k, v in cell_map.items():
         norm[k] = v if isinstance(v, tuple) else (v, 1)
-    by_id = {cell.id: cell for cell in c.cells}
+    where = c._where
     for cid, (img, coeff) in norm.items():
-        if by_id[cid].degree != by_id[img].degree:
+        if where[cid][0].degree != where[img][0].degree:
             raise ValueError("cell map must preserve degree")
-        if by_id[cid].value != by_id[img].value:
+        if where[cid][0].value != where[img][0].value:
             raise ValueError("cell map must preserve the filtration")
-    # chain map check: d(T e) = T(d e)
+    # chain map check: d(T e) = T(d e), on the boundary columns
     for cid, (img, coeff) in norm.items():
-        lhs: dict = {}
-        for f, cf in c.boundary.get(img, {}).items():
-            lhs[f] = (lhs.get(f, 0) + coeff * cf) % p
-        rhs: dict = {}
-        for f, cf in c.boundary.get(cid, {}).items():
-            fi, fc = norm[f]
-            rhs[fi] = (rhs.get(fi, 0) + cf * fc) % p
-        keys = set(lhs) | set(rhs)
-        if any((lhs.get(k, 0) - rhs.get(k, 0)) % p for k in keys):
+        (cell, i), j = where[cid], where[img][1]
+        columns, faces = c._degree_columns[cell.degree], c._degree_cells.get(cell.degree - 1)
+        diff = {r: coeff * v for r, v in columns[j].items()}
+        for r, v in columns[i].items():
+            fi, fc = norm[faces[r].id]
+            row = where[fi][1]
+            diff[row] = diff.get(row, 0) - v * fc
+        if any(x % p for x in diff.values()):
             raise EquivarianceError(f"cell map is not a chain map at {cid}")
 
     slices = homology_slice_bases(c, degree)
-    cells_k = c.cells_of_degree(degree)
-    idx = {cell.id: i for i, cell in enumerate(cells_k)}
+    cells_k = c._degree_cells.get(degree, [])
     perm = ff.zeros(len(cells_k), len(cells_k))
-    for cell in cells_k:
+    for i, cell in enumerate(cells_k):
         img, coeff = norm[cell.id]
-        perm[idx[img], idx[cell.id]] = coeff % p
+        perm[where[img][1], i] = coeff % p
 
     # express the action in the exact homology bases of homology_module
     action = [ff.zeros(0, 0)]

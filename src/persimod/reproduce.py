@@ -543,12 +543,8 @@ SCENARIOS = {
     "symplectic": (_scn_symplectic, "ellipsoid degrees and rescaling bound"),
 }
 
-# familiar alias for the rescaling lower-bound part
-ALIASES = {"sbm-ellipsoid": "symplectic"}
-
 
 def run_scenario(name: str, seed: int = 0, slack: float = 0.05) -> ScenarioResult:
-    name = ALIASES.get(name, name)
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
     fn, _ = SCENARIOS[name]

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -82,6 +83,21 @@ def test_cmd_distance(tmp_path, capsys):
     dump_barcode(Barcode([Bar(0, INF)]), str(b2))
     assert main(["distance", str(b1), str(b2)]) == 0
     assert capsys.readouterr().out.strip() == "inf"
+
+
+def test_cmd_distance_many_near_equal_bars(tmp_path, capsys):
+    # Kuhn matching on 200 near-equal bars follows augmenting paths about
+    # as long as the bar count; they must not cost interpreter stack depth
+    b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
+    dump_barcode(Barcode([Bar(0.0, 1 + i * 1e-6) for i in range(200)]), str(b1))
+    dump_barcode(Barcode([Bar(1e-3, 1 + 1e-3 + i * 1e-6) for i in range(200)]), str(b2))
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert main(["distance", str(b1), str(b2)]) == 0
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert capsys.readouterr().out.strip() == "0.001"
 
 
 def test_cmd_invariants(tmp_path, capsys):

@@ -50,6 +50,38 @@ def test_validation_degree_gap():
                         {"a": {}, "b": {"a": 1}})
 
 
+def test_validation_duplicate_ids():
+    with pytest.raises(InvalidComplexError, match="duplicate cell ids"):
+        FilteredComplex([Cell("a", 0, 0), Cell("a", 1, 1)], {"a": {}})
+
+
+def test_validation_unknown_face():
+    with pytest.raises(InvalidComplexError, match="hits unknown cell z"):
+        FilteredComplex([Cell("a", 0, 0), Cell("b", 1, 1)], {"b": {"a": 1, "z": 1}})
+
+
+def test_validation_unknown_face_with_zero_coefficient():
+    # faces are checked before zero coefficients are dropped
+    with pytest.raises(InvalidComplexError, match="hits unknown cell z"):
+        FilteredComplex([Cell("a", 0, 0), Cell("b", 1, 1)], {"b": {"z": 3}}, p=3)
+
+
+def test_reduction_leaves_the_complex_unchanged():
+    c = random_filtered_complex(random.Random(7), max_cells=30, max_degree=3, p=5)
+    modules = [homology_module(c, k) for k in range(c.max_degree + 1)]
+    first = barannikov_reduce(c, want_basis=True)
+    # the F_5 reduction really subtracts columns, so a mutated boundary would show
+    assert any(len(col) > 1 for cols in first.basis.values() for col in cols)
+    c.cells_of_degree(1).clear()      # a copy, not the stored list
+    second = barannikov_reduce(c, want_basis=True)
+    assert second.pairing == first.pairing
+    assert second.basis == first.basis
+    for k, want in enumerate(modules):
+        again = homology_module(c, k)
+        assert again.dims == want.dims
+        assert all(np.array_equal(a, b) for a, b in zip(again.maps, want.maps))
+
+
 def test_single_vertex():
     c = FilteredComplex([Cell("v", 0, 2.5)], {"v": {}})
     assert barcode_of_complex(c) == Barcode([Bar(2.5, INF, 0)])
