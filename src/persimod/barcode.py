@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 INF = math.inf
 
 
@@ -141,6 +143,20 @@ def bar_match_cost(i: Bar, j: Bar) -> float:
     return max(_endpoint_diff(i.birth, j.birth), _endpoint_diff(i.death, j.death))
 
 
+def _cost_matrix(b: list[Bar], c: list[Bar]) -> np.ndarray:
+    """The len(b) x len(c) matrix of bar_match_cost values, by the same
+    rules: 0 for equal endpoints (inf/inf too), inf when exactly one is
+    infinite, the IEEE abs(a - b) otherwise."""
+    def diff(x, y):
+        x = np.array(x, dtype=float)[:, None]
+        y = np.array(y, dtype=float)[None, :]
+        with np.errstate(invalid="ignore"):          # inf - inf; masked below
+            return np.where(x == y, 0.0, np.abs(x - y))
+
+    return np.maximum(diff([bar.birth for bar in b], [bar.birth for bar in c]),
+                      diff([bar.death for bar in b], [bar.death for bar in c]))
+
+
 def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool:
     """Check the three delta-matching conditions.
 
@@ -197,27 +213,32 @@ def _one_sided_cover(mandatory: list[int], adj: list[list[int]],
     return partner
 
 
-def _feasible_matching_at(b: list[Bar], c: list[Bar], delta: float) -> Optional[list[tuple[int, int]]]:
+def _neighbours(mask: np.ndarray) -> list[list[int]]:
+    """For each row i, the ascending column indices j with mask[i, j]."""
+    flat = np.nonzero(mask)[1].tolist()          # row-major: rows in turn
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _feasible_matching_at(b: list[Bar], c: list[Bar], delta: float,
+                          cost: np.ndarray) -> Optional[list[tuple[int, int]]]:
     """A delta-matching between bar lists, or None if none exists.
 
-    Every bar of length > 2*delta on either side must be matched, at cost
-    <= delta.  A matching covering both mandatory sets exists iff each
-    side can be covered on its own (Mendelsohn-Dulmage); the two one-sided
-    matchings are then merged by flipping alternating paths, which only
-    ever drops short bars.
+    *cost* is _cost_matrix(b, c).  Every bar of length > 2*delta on either
+    side must be matched, at cost <= delta.  A matching covering both
+    mandatory sets exists iff each side can be covered on its own
+    (Mendelsohn-Dulmage); the two one-sided matchings are then merged by
+    flipping alternating paths, which only ever drops short bars.
     """
     n_b, n_c = len(b), len(c)
-    adj = [[j for j in range(n_c) if bar_match_cost(b[i], c[j]) <= delta]
-           for i in range(n_b)]
+    close = cost <= delta
+    adj = _neighbours(close)
     long_b = [i for i in range(n_b) if b[i].length > 2 * delta]
     long_c = [j for j in range(n_c) if c[j].length > 2 * delta]
     m1_partner = _one_sided_cover(long_b, adj, n_c)          # c index -> b index
     if m1_partner is None:
         return None
-    radj = [[] for _ in range(n_c)]
-    for u in range(n_b):
-        for v in adj[u]:
-            radj[v].append(u)
+    radj = _neighbours(close.T)
     m2_partner = _one_sided_cover(long_c, radj, n_b)         # b index -> c index
     if m2_partner is None:
         return None
@@ -251,16 +272,11 @@ def _feasible_matching_at(b: list[Bar], c: list[Bar], delta: float) -> Optional[
 
 
 def bottleneck_candidates(b: Barcode, c: Barcode) -> list[float]:
-    deltas = {0.0}
-    for bar_i in b.bars:
-        for bar_j in c.bars:
-            cost = bar_match_cost(bar_i, bar_j)
-            if cost < INF:
-                deltas.add(cost)
-    for bar in itertools.chain(b.bars, c.bars):
-        if bar.finite:
-            deltas.add(bar.length / 2)
-    return sorted(deltas)
+    """Sorted deltas where feasibility can change: 0, the finite pair
+    costs and the half-lengths of the finite bars."""
+    cost = _cost_matrix(b.bars, c.bars)
+    halves = [bar.length / 2 for bar in itertools.chain(b.bars, c.bars) if bar.finite]
+    return np.unique(np.concatenate([[0.0], cost[cost < INF], halves])).tolist()
 
 
 def _ray_signature(bars: Iterable[Bar]) -> tuple[int, int, int]:
@@ -274,11 +290,12 @@ def _bottleneck_single_pool(b: Barcode, c: Barcode) -> float:
     if _ray_signature(b.bars) != _ray_signature(c.bars):
         return INF
     candidates = bottleneck_candidates(b, c)
+    cost = _cost_matrix(b.bars, c.bars)
     lo, hi = 0, len(candidates) - 1
     # Largest candidate is always feasible once ray counts agree.
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible_matching_at(b.bars, c.bars, candidates[mid]) is not None:
+        if _feasible_matching_at(b.bars, c.bars, candidates[mid], cost) is not None:
             hi = mid
         else:
             lo = mid + 1
@@ -314,11 +331,11 @@ def optimal_matching(b: Barcode, c: Barcode) -> tuple[float, Matching]:
         for d in degrees:
             bi = [i for i, bar in enumerate(b.bars) if bar.degree == d]
             ci = [j for j, bar in enumerate(c.bars) if bar.degree == d]
-            sub = _feasible_matching_at([b.bars[i] for i in bi],
-                                        [c.bars[j] for j in ci], delta)
+            sub_b, sub_c = [b.bars[i] for i in bi], [c.bars[j] for j in ci]
+            sub = _feasible_matching_at(sub_b, sub_c, delta, _cost_matrix(sub_b, sub_c))
             pairs.extend((bi[u], ci[v]) for u, v in sub)
         return delta, Matching(pairs)
-    pairs = _feasible_matching_at(b.bars, c.bars, delta)
+    pairs = _feasible_matching_at(b.bars, c.bars, delta, _cost_matrix(b.bars, c.bars))
     return delta, Matching(pairs)
 
 
@@ -452,8 +469,6 @@ def _mu_feasible(b: Barcode, k: int, c: float) -> bool:
     endpoints stand in for the unbounded window regimes that appear once
     the barcode has rays or bars born at -inf.
     """
-    import numpy as np
-
     ends = b.finite_endpoints()
     lo = (min(ends) if ends else 0.0) - 4 * c - 1.0
     hi = (max(ends) if ends else 0.0) + 4 * c + 1.0
@@ -477,11 +492,15 @@ def multiplicity_function(b: Barcode, k: int) -> float:
     """mu_k: supremum of c admitting a window of length > 4c with exactly
     k bars over it and over its 2c-shrink; 0 when no window exists.
 
-    Feasibility is downward closed in c and every binding cap is a half
-    or quarter difference of finite endpoints, so the sup is found
-    exactly by testing midpoints between consecutive candidates.  The
-    sup is +inf exactly when feasibility survives past every cap (all
-    caps exhausted, e.g. a barcode of k full lines).
+    Every binding cap is a half or quarter difference of finite
+    endpoints, so the sup is a candidate cands[i]: the top candidate if
+    it is feasible itself, otherwise the cands[i] with the largest i
+    whose midpoint (cands[i-1] + cands[i]) / 2 is feasible (0 when none
+    is).  Feasibility is downward closed in c, so the midpoints are
+    feasible up to that i and infeasible past it, and a bisection over
+    them finds it in O(log E) probes.  The sup is +inf exactly when
+    feasibility survives past every cap (all caps exhausted, e.g. a
+    barcode of k full lines).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -492,13 +511,17 @@ def multiplicity_function(b: Barcode, k: int) -> float:
     cands = _mu_candidate_cs(b)
     if _mu_feasible(b, k, cands[-1] + 1.0):
         return INF
-    sup = 0.0
-    for prev, cur in zip(cands, cands[1:]):
-        if _mu_feasible(b, k, (prev + cur) / 2):
-            sup = cur
     if _mu_feasible(b, k, cands[-1]):
-        sup = cands[-1]
-    return sup
+        return cands[-1]
+    # cands[0] is 0.0, the answer when no midpoint is feasible
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _mu_feasible(b, k, (cands[mid - 1] + cands[mid]) / 2):
+            lo = mid
+        else:
+            hi = mid - 1
+    return cands[lo]
 
 
 def mu_odd(b: Barcode) -> float:
@@ -519,8 +542,6 @@ def multiplicity_grid_oracle(b: Barcode, k: int, resolution: float = 1e-3) -> fl
     windows.  The grid is padded by 2.5 spans so unbounded-window regimes
     next to rays are seen.
     """
-    import numpy as np
-
     ends = b.finite_endpoints()
     if not ends:
         return 0.0

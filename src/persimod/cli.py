@@ -266,6 +266,10 @@ def main(argv=None) -> int:
     except (InputError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as e:
+        # an input too large for this process is an input error, not a crash
+        print(f"error: input too large ({type(e).__name__})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -393,6 +393,8 @@ def parse_point_cloud(text: str) -> PointCloud:
             row = [float(tok) for tok in line.replace(",", " ").split()]
         except ValueError:
             raise ValueError(f"line {ln}: not a number row: {raw!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {ln}: non-finite value: {raw!r}")
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -284,16 +284,22 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
             # value - lam <= alpha, not value <= lam + alpha: the candidate
             # alphas are exactly these differences, so compare the same way
             target = image[:, cell_level - lam <= alpha]
-            for col in range(inter.shape[1]):
-                if not ff.in_span(inter[:, col], target, p):
-                    return False
+            # inter lies in the span of target iff appending it keeps the rank
+            if ff.rank(np.hstack([target, inter]), p) != ff.rank(target, p):
+                return False
         return True
 
+    # target only gains columns as alpha grows, so feasibility is upward
+    # closed; at the largest candidate every target is the whole image
     candidates = sorted({0.0} | {b - a for a in values for b in values if b > a})
-    for alpha in candidates:
-        if feasible(alpha):
-            return alpha
-    return candidates[-1]
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo]
 
 
 def homology_slice_bases(c: FilteredComplex, degree: int):

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from persimod.barcode import (Bar, Barcode, Matching, bar_match_cost, beta_k,
-                              bottleneck_bruteforce, bottleneck_distance,
+from persimod.barcode import (Bar, Barcode, Matching, _cost_matrix,
+                              _mu_candidate_cs, _mu_feasible, bar_match_cost,
+                              beta_k,
+                              bottleneck_bruteforce, bottleneck_candidates,
+                              bottleneck_distance,
                               boundary_depth, ell, infinite_endpoint_spectrum,
                               interval_interleaving_distance, is_delta_matching,
                               matching_lemma, matching_lemma_bruteforce,
@@ -272,6 +275,60 @@ def test_mu_with_rays_against_oracle():
             if exact == INF:
                 continue
             assert abs(exact - approx) <= 2e-3 * max(span, 1.0), (b.bars, k)
+
+
+def proper_barcode(rng, max_bars):
+    """Bars on a coarse grid (so endpoints tie), some born at -inf, some
+    dying at +inf, a few full lines."""
+    bars = []
+    for _ in range(rng.randint(0, max_bars)):
+        birth = rng.randint(0, 8) / 4
+        death = birth + rng.randint(1, 8) / 4
+        r = rng.random()
+        if r < 0.15:
+            death = INF
+        elif r < 0.25:
+            birth = -INF
+        elif r < 0.28:
+            birth, death = -INF, INF
+        bars.append(Bar(birth, death))
+    return Barcode(bars)
+
+
+def mu_by_midpoint_scan(b, k):
+    """mu_k by probing every midpoint between consecutive candidates."""
+    if len(b.bars) < k or not _mu_feasible(b, k, 0.0):
+        return 0.0
+    cands = _mu_candidate_cs(b)
+    if _mu_feasible(b, k, cands[-1] + 1.0):
+        return INF
+    sup = 0.0
+    for prev, cur in zip(cands, cands[1:]):
+        if _mu_feasible(b, k, (prev + cur) / 2):
+            sup = cur
+    if _mu_feasible(b, k, cands[-1]):
+        sup = cands[-1]
+    return sup
+
+
+def test_mu_bisection_equals_midpoint_scan():
+    rng = random.Random(17)
+    for _ in range(60):
+        b = proper_barcode(rng, max_bars=7)
+        for k in (1, 2, 3):
+            assert multiplicity_function(b, k) == mu_by_midpoint_scan(b, k), (b.bars, k)
+
+
+def test_bottleneck_candidates_are_finite_costs_and_half_lengths():
+    rng = random.Random(19)
+    for _ in range(60):
+        b, c = proper_barcode(rng, max_bars=6), proper_barcode(rng, max_bars=6)
+        rows = [[bar_match_cost(x, y) for y in c.bars] for x in b.bars]
+        assert _cost_matrix(b.bars, c.bars).tolist() == rows
+        costs = {cost for row in rows for cost in row}
+        halves = {bar.length / 2 for bar in b.bars + c.bars if bar.finite}
+        want = sorted({0.0} | {d for d in costs if d < INF} | halves)
+        assert bottleneck_candidates(b, c) == want, (b.bars, c.bars)
 
 
 def test_identity_matching_at_zero():

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import persimod.cli
 import persimod.reproduce
 from persimod.barcode import Bar, Barcode, bottleneck_distance
 from persimod.cli import main
@@ -69,6 +70,29 @@ def test_cmd_rips_rejects_missing_and_bad_files(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert main(["rips", str(empty)]) == 1
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["rips"], "0,0\n1,nan\n0,1\n"),
+    (["rips", "--distance-matrix"], "0,1\n1,inf\n"),
+    (["torus"], "1,2\n3,NaN\n"),
+    (["circle"], "0\nnan\n1\n"),
+    (["circle"], "0\n-inf\n1\n"),
+])
+def test_cmd_rejects_non_finite_values(tmp_path, capsys, argv, text):
+    csv = tmp_path / "in.csv"
+    csv.write_text(text)
+    assert main([argv[0], str(csv), *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: non-finite value")
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_main_reports_resource_errors(monkeypatch, capsys, exc):
+    def run_out(args):
+        raise exc()
+    monkeypatch.setattr(persimod.cli, "_cmd_distance", run_out)
+    assert main(["distance", "a.json", "b.json"]) == 1
+    assert capsys.readouterr().err == f"error: input too large ({exc.__name__})\n"
 
 
 def test_cmd_distance(tmp_path, capsys):

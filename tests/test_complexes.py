@@ -262,6 +262,9 @@ def test_csv_parsers():
         parse_point_cloud("a,b\n")
     with pytest.raises(ValueError):
         parse_point_cloud("")
+    for bad in ("nan", "inf", "-inf", "Infinity"):
+        with pytest.raises(ValueError, match="line 2: non-finite value"):
+            parse_point_cloud(f"0,0\n1,{bad}\n")
     m = parse_distance_matrix("0,1\n1,0\n")
     assert m.n == 2
     with pytest.raises(ValueError):
