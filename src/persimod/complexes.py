@@ -40,14 +40,6 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def check_triangle_inequality(self, tol: float = 1e-9) -> bool:
-        d = self.dist
-        for i in range(self.n):
-            for j in range(self.n):
-                if np.any(d[i, j] > d[i, :] + d[:, j] + tol):
-                    return False
-        return True
-
     @classmethod
     def from_points(cls, points) -> "FiniteMetricSpace":
         pts = np.asarray(points, dtype=float)
@@ -116,17 +108,6 @@ class Triangulation:
     def vertices(self) -> list:
         return sorted({v for s in self.simplices for v in s})
 
-    def maximal_simplices(self) -> list[tuple]:
-        have = set(self.simplices)
-        out = []
-        for s in self.simplices:
-            if not any(set(s) < set(t) for t in have if len(t) == len(s) + 1):
-                out.append(s)
-        return out
-
-    def n_simplices(self) -> int:
-        return len(self.simplices)
-
 
 def _simplex_boundary(simplex: tuple, p: int) -> dict:
     """Oriented boundary of a vertex-sorted simplex over F_p."""
@@ -145,28 +126,32 @@ def _complex_from_filtered_simplices(simplices: dict, p: int) -> FilteredComplex
     return FilteredComplex(cells, boundary, p)
 
 
+def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
+    """Every vertex subset of size <= max_dim + 1, entering at the max of
+    its facets' values and own(subset); vertices enter at 0."""
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
+    simplices: dict[tuple, float] = {(i,): 0.0 for i in range(n)}
+    for k in range(2, max_dim + 2):
+        for s in itertools.combinations(range(n), k):
+            simplices[s] = max(*(simplices[s[:i] + s[i + 1:]] for i in range(k)), own(s))
+    return _complex_from_filtered_simplices(simplices, p)
+
+
+def _lower_star(simplices, value, p: int) -> FilteredComplex:
+    """Each simplex enters at the max of its vertex values (value[v])."""
+    return _complex_from_filtered_simplices(
+        {tuple(sorted(s)): max(map(value.__getitem__, s)) for s in simplices}, p)
+
+
 def rips_complex(x: FiniteMetricSpace, max_dim: int,
                  p: int = ff.DEFAULT_P) -> FilteredComplex:
     """Flag complex with entry value the simplex diameter (vertices at 0);
     a simplex is present at parameter t exactly when t exceeds its value."""
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
-    d = x.dist
-    simplices: dict[tuple, float] = {(i,): 0.0 for i in range(x.n)}
-    prev: list[tuple] = [(i,) for i in range(x.n)]
-    for k in range(1, max_dim + 1):
-        cur = []
-        for s in prev:
-            for v in range(s[-1] + 1, x.n):
-                if k >= 2 and not all(s[:i] + s[i + 1:] + (v,) in simplices
-                                      for i in range(len(s))):
-                    continue
-                diam = max(simplices[s], float(d[list(s), v].max()))
-                t = s + (v,)
-                simplices[t] = diam
-                cur.append(t)
-        prev = cur
-    return _complex_from_filtered_simplices(simplices, p)
+    d = x.dist.tolist()
+    # the facets already carry every other pair, so a simplex only adds
+    # the distance between its first and last vertex
+    return _nerve(x.n, max_dim, lambda s: d[s[0]][s[-1]], p)
 
 
 def drop_top_degree(b: Barcode, max_dim: int) -> Barcode:
@@ -232,16 +217,8 @@ def cech_complex(cloud: PointCloud, max_dim: int,
                  p: int = ff.DEFAULT_P) -> FilteredComplex:
     """Nerve of balls of radius t/2: entry value of a simplex is twice the
     minimal enclosing ball radius of its vertices."""
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
     pts = cloud.points
-    simplices: dict[tuple, float] = {(i,): 0.0 for i in range(cloud.n)}
-    for k in range(1, max_dim + 1):
-        for s in itertools.combinations(range(cloud.n), k + 1):
-            value = 2.0 * meb_radius(pts[list(s)])
-            face_cap = max(simplices[s[:i] + s[i + 1:]] for i in range(len(s)))
-            simplices[s] = max(value, face_cap)
-    return _complex_from_filtered_simplices(simplices, p)
+    return _nerve(cloud.n, max_dim, lambda s: 2.0 * meb_radius(pts[list(s)]), p)
 
 
 def log2_rescale(b: Barcode) -> Barcode:
@@ -264,8 +241,7 @@ def sublevel_filtration(t: Triangulation, vertex_values: dict,
     missing = [v for v in t.vertices() if v not in vertex_values]
     if missing:
         raise ValueError(f"missing values for vertices {missing}")
-    simplices = {tuple(s): max(vertex_values[v] for v in s) for s in t.simplices}
-    return _complex_from_filtered_simplices(simplices, p)
+    return _lower_star(t.simplices, vertex_values, p)
 
 
 def circle_complex(samples: Sequence[float], p: int = ff.DEFAULT_P) -> FilteredComplex:
@@ -274,11 +250,18 @@ def circle_complex(samples: Sequence[float], p: int = ff.DEFAULT_P) -> FilteredC
     n = len(samples)
     if n < 3:
         raise ValueError("need at least 3 cyclic samples")
-    simplices = {(i,): float(samples[i]) for i in range(n)}
-    for i in range(n):
-        j = (i + 1) % n
-        simplices[tuple(sorted((i, j)))] = max(float(samples[i]), float(samples[j]))
-    return _complex_from_filtered_simplices(simplices, p)
+    value = [float(x) for x in samples]
+    return _lower_star([(i,) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)],
+                       value, p)
+
+
+def _torus_squares(nx: int, ny: int):
+    """Corners (a, b, c, d) = (i, j), (i+1, j), (i, j+1), (i+1, j+1) of
+    every square of the periodic nx x ny grid."""
+    for i in range(nx):
+        for j in range(ny):
+            yield ((i, j), ((i + 1) % nx, j), (i, (j + 1) % ny),
+                   ((i + 1) % nx, (j + 1) % ny))
 
 
 def torus_grid_complex(g: GridFunction, p: int = ff.DEFAULT_P) -> FilteredComplex:
@@ -289,25 +272,12 @@ def torus_grid_complex(g: GridFunction, p: int = ff.DEFAULT_P) -> FilteredComple
     nx, ny = g.nx, g.ny
     if nx < 4 or ny < 4:
         raise ValueError("grid too small; need at least 4x4")
-    vals = g.values
-
-    def vid(i: int, j: int) -> tuple:
-        return (i % nx, j % ny)
-
-    simplices: dict[tuple, float] = {}
-    for i in range(nx):
-        for j in range(ny):
-            simplices[(vid(i, j),)] = float(vals[i % nx, j % ny])
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
-            for edge in ((a, b), (a, c), (a, d)):
-                key = tuple(sorted(edge))
-                simplices[key] = max(simplices[(edge[0],)], simplices[(edge[1],)])
-            for tri in ((a, b, d), (a, c, d)):
-                key = tuple(sorted(tri))
-                simplices[key] = max(simplices[(v,)] for v in tri)
-    return _complex_from_filtered_simplices(simplices, p)
+    vals = g.values.tolist()
+    value = {(i, j): vals[i][j] for i in range(nx) for j in range(ny)}
+    simplices = [(v,) for v in value]
+    for a, b, c, d in _torus_squares(nx, ny):
+        simplices += [(a, b), (a, c), (a, d), (a, b, d), (a, c, d)]
+    return _lower_star(simplices, value, p)
 
 
 def oscillation(t: Triangulation, vertex_values: dict) -> float:
@@ -321,17 +291,8 @@ def oscillation(t: Triangulation, vertex_values: dict) -> float:
 
 def grid_triangulation(g: GridFunction) -> tuple[Triangulation, dict]:
     """The torus grid as a Triangulation plus its vertex values."""
-    nx, ny = g.nx, g.ny
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a = (i % nx, j % ny)
-            b = ((i + 1) % nx, j % ny)
-            c = (i % nx, (j + 1) % ny)
-            d = ((i + 1) % nx, (j + 1) % ny)
-            tris.append((a, b, d))
-            tris.append((a, c, d))
-    values = {(i, j): float(g.values[i, j]) for i in range(nx) for j in range(ny)}
+    tris = [t for a, b, c, d in _torus_squares(g.nx, g.ny) for t in ((a, b, d), (a, c, d))]
+    values = {(i, j): float(g.values[i, j]) for i in range(g.nx) for j in range(g.ny)}
     return Triangulation(tris, realization="torus-grid"), values
 
 

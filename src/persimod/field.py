@@ -80,9 +80,8 @@ def row_echelon(m: np.ndarray, p: int = DEFAULT_P):
             r[[row, pr]] = r[[pr, row]]
         r[row] = np.mod(r[row] * inv_mod(r[row, col], p), p)
         others = np.nonzero(r[:, col])[0]
-        for i in others:
-            if i != row:
-                r[i] = np.mod(r[i] - r[i, col] * r[row], p)
+        others = others[others != row]
+        r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
         pivot_cols.append(col)
         row += 1
     return r, pivot_cols

@@ -327,17 +327,11 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
         dk = d_k[np.ix_(sel_km1, sel_k)] if sel_km1 else ff.zeros(0, len(sel_k))
         cycles = ff.kernel_basis(dk, p)
         bnd = d_kp1[np.ix_(sel_k, sel_kp1)] if sel_kp1 else ff.zeros(len(sel_k), 0)
-        bnd = ff.column_space_basis(bnd, p)
-        reps = []
-        cur, r = bnd, ff.rank(bnd, p)
-        for col in range(cycles.shape[1]):
-            cand = np.hstack([cur, cycles[:, col:col + 1]])
-            rr = ff.rank(cand, p)
-            if rr > r:
-                reps.append(cycles[:, col])
-                cur, r = cand, rr
-        reps_m = np.array(reps, dtype=np.int64).T if reps else ff.zeros(len(sel_k), 0)
-        out.append((reps_m, bnd, sel_k))
+        # a column is a pivot of [bnd | cycles] exactly when it lies outside
+        # the span of the columns before it
+        piv = np.array(ff.row_echelon(np.hstack([bnd, cycles]), p)[1], dtype=int)
+        nb = bnd.shape[1]
+        out.append((cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]], sel_k))
     return out
 
 

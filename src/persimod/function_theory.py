@@ -141,42 +141,6 @@ def alternance_bound(h_barcode: Barcode, q_crit_count: int, c: float,
     return None
 
 
-@dataclass
-class ExperimentConfig:
-    """Batch-experiment settings (JSON schema: grid_size, lam, seeds,
-    slack_pct)."""
-
-    grid_size: int = 64
-    lam: float = 9.0
-    seeds: tuple[int, ...] = (0,)
-    slack_pct: float = 5.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        cfg = cls(grid_size=int(d.get("grid_size", 64)),
-                  lam=float(d.get("lam", 9.0)),
-                  seeds=tuple(int(s) for s in d.get("seeds", [0])),
-                  slack_pct=float(d.get("slack_pct", 5.0)))
-        if cfg.grid_size < 4 or cfg.lam < 0 or cfg.slack_pct < 0:
-            raise ValueError("bad experiment configuration")
-        return cfg
-
-
-def run_length_experiment(cfg: ExperimentConfig, trials_per_seed: int = 5) -> list[dict]:
-    """Length-inequality batch over random polynomials in T_lam."""
-    import random
-
-    out = []
-    for seed in cfg.seeds:
-        rng = random.Random(seed)
-        for _ in range(trials_per_seed):
-            g = random_trig_polynomial(rng, cfg.lam).on_grid(cfg.grid_size)
-            rep = verify_length_inequality(g, slack=cfg.slack_pct / 100.0)
-            out.append({"seed": seed, "ell": rep["ell"], "rhs": rep["rhs"],
-                        "holds": rep["holds"]})
-    return out
-
-
 def perturbation_inequalities(f_barcode: Barcode, h_barcode: Barcode,
                               sup_diff: float, zeta: int) -> dict:
     """Check ell(f) - ell(h) <= (2 nu(f) + zeta) ||f-h||_0 and

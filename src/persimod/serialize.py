@@ -1,6 +1,5 @@
 """
-JSON schemas: barcodes (the universal interchange format) and module
-representations (debug/golden output).
+JSON schema for barcodes, the universal interchange format.
 """
 
 from __future__ import annotations
@@ -8,10 +7,7 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .barcode import Bar, Barcode
-from .module_rep import ModuleRep
 
 INF = math.inf
 
@@ -32,7 +28,10 @@ def _num_in(x) -> float:
         return -INF
     if not isinstance(x, (int, float)):
         raise ValueError(f"not a number: {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("number out of the float range") from None
 
 
 def barcode_to_dict(b: Barcode) -> dict:
@@ -64,20 +63,3 @@ def dump_barcode(b: Barcode, path: str) -> None:
 def load_barcode(path: str) -> Barcode:
     with open(path) as fh:
         return barcode_from_dict(json.load(fh))
-
-
-def module_to_dict(v: ModuleRep) -> dict:
-    return {"spectrum": [_num_out(a) for a in v.spectrum],
-            "dims": list(v.dims),
-            "maps": [[int(x) for x in m.reshape(-1)] for m in v.maps],
-            "p": v.p}
-
-
-def module_from_dict(d: dict) -> ModuleRep:
-    spectrum = [_num_in(a) for a in d["spectrum"]]
-    dims = [int(x) for x in d["dims"]]
-    maps = []
-    for i, flat in enumerate(d["maps"]):
-        shape = (dims[i + 1], dims[i])
-        maps.append(np.array(flat, dtype=np.int64).reshape(shape))
-    return ModuleRep(spectrum, dims, maps, int(d.get("p", 2)))

@@ -1,11 +1,17 @@
+import contextlib
 import inspect
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import persimod.cli
 import persimod.reproduce
@@ -13,9 +19,7 @@ from persimod.barcode import Bar, Barcode, bottleneck_distance
 from persimod.cli import main
 from persimod.complexes import regular_polygon_points
 from persimod.serialize import (barcode_from_dict, barcode_to_dict,
-                                dump_barcode, load_barcode, module_from_dict,
-                                module_to_dict)
-from persimod.module_rep import barcode as rep_barcode, from_barcode
+                                dump_barcode, load_barcode)
 from persimod.svg import barcode_to_svg
 
 INF = math.inf
@@ -40,13 +44,8 @@ def test_json_schema_errors():
         barcode_from_dict({"bars": [{"birth": 0, "death": 1, "degree": "x"}]})
     with pytest.raises(ValueError):
         barcode_from_dict({"bars": [{"birth": "oops", "death": 1}]})
-
-
-def test_module_json_roundtrip():
-    v = from_barcode(Barcode([Bar(0, 2), Bar(1, INF)]), p=5)
-    w = module_from_dict(module_to_dict(v))
-    assert rep_barcode(w) == rep_barcode(v)
-    assert w.p == 5
+    with pytest.raises(ValueError, match="out of the float range"):
+        barcode_from_dict({"bars": [{"birth": 10 ** 400, "death": 1}]})
 
 
 def test_cmd_rips_hexagon(tmp_path):
@@ -249,3 +248,85 @@ def test_cmd_invariants_empty_barcode(tmp_path, capsys):
     assert report["mu_odd"] == 0
     assert report["nu"] == 0
     assert report["infinite_endpoint_spectrum"] == []
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: whatever the file holds, the CLI exits 0 or 1 with no traceback
+
+_tokens = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "#", "x", "1e400", "1e300", "-0.0", "nan", "inf", ",", "0x1", "1_0"]),
+    st.text(max_size=3))
+_csv = st.lists(st.lists(_tokens, max_size=5).map(",".join), max_size=7).map("\n".join)
+
+
+def _numeric_csv(rows, cols):
+    return st.lists(st.lists(st.sampled_from(["0", "-0.0", "1", "0.5", "-2", "1e-300"]),
+                             min_size=cols, max_size=cols).map(",".join),
+                    min_size=rows, max_size=rows).map("\n".join)
+
+
+_end = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3),
+                 st.sampled_from(["inf", "-inf", "x", None, [], {}, 10 ** 400, -10 ** 400]))
+_bar = st.one_of(st.fixed_dictionaries({"birth": _end, "death": _end},
+                                       optional={"degree": st.one_of(st.integers(-1, 3),
+                                                                     st.sampled_from([None, "1", 1.5, True]))}),
+                 st.sampled_from([None, [], 0, "bar"]))
+_barcode_json = st.one_of(
+    st.lists(_bar, max_size=6).map(lambda bars: json.dumps({"bars": bars})),
+    st.sampled_from(["", "{", "[]", "null", '{"bars": 3}', '{"bars": [[0, 1]]}']),
+    st.text(max_size=20))
+
+
+def _run_cli(argv, files):
+    """main(argv), each key of files in argv replaced by a temp file holding its text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = [path if a == name else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", os.path.join(tmp, "bc.json")]
+                        if argv[0] in ("rips", "torus", "circle") else argv)
+    assert code in (0, 1), err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_csv, st.integers(1, 5).flatmap(lambda n: _numeric_csv(n, n)),
+                 st.integers(1, 5).flatmap(lambda n: _numeric_csv(n, 2))),
+       st.booleans(), st.integers(-1, 2), st.sampled_from(["2", "3", "4"]))
+def test_fuzz_cli_rips(text, distance_matrix, max_dim, p):
+    argv = ["rips", "IN", "--max-dim", str(max_dim), "--field", p]
+    _run_cli(argv + ["--distance-matrix"] * distance_matrix, {"IN": text})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_csv, st.tuples(st.integers(3, 5), st.integers(3, 5)).flatmap(
+    lambda shape: _numeric_csv(*shape))), st.sampled_from(["2", "3"]))
+def test_fuzz_cli_torus(text, p):
+    _run_cli(["torus", "GRID", "--field", p], {"GRID": text})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_csv, st.integers(1, 8).flatmap(lambda n: _numeric_csv(n, 1))),
+       st.sampled_from(["2", "3"]))
+def test_fuzz_cli_circle(text, p):
+    _run_cli(["circle", "SAMPLES", "--field", p], {"SAMPLES": text})
+
+
+@settings(max_examples=50, deadline=None)
+@given(_barcode_json, _barcode_json)
+def test_fuzz_cli_distance(a, b):
+    _run_cli(["distance", "A", "B"], {"A": a, "B": b})
+
+
+@settings(max_examples=50, deadline=None)
+@given(_barcode_json, st.sampled_from([[], ["--mu-odd"], ["--beta-k", "0", "1"],
+                                       ["--mu-k", "1", "2"], ["--ell", "0", "2"],
+                                       ["--nu", "0.5"], ["--spectrum"]]))
+def test_fuzz_cli_invariants(text, flags):
+    _run_cli(["invariants", "BC"] + flags, {"BC": text})

@@ -34,6 +34,12 @@ def barcodes_close(got, want, tol=1e-9):
     return True
 
 
+def satisfies_triangle_inequality(x, tol=1e-9):
+    d = x.dist
+    return not any(np.any(d[i, j] > d[i, :] + d[:, j] + tol)
+                   for i in range(x.n) for j in range(x.n))
+
+
 def test_metric_space_validation():
     with pytest.raises(ValueError):
         FiniteMetricSpace(np.array([[0, 1], [2, 0]]))
@@ -41,7 +47,7 @@ def test_metric_space_validation():
         FiniteMetricSpace(np.array([[1.0]]))
     x = FiniteMetricSpace.from_points([[0, 0], [3, 4]])
     assert x.dist[0, 1] == 5
-    assert x.check_triangle_inequality()
+    assert satisfies_triangle_inequality(x)
 
 
 def test_hexagon_rips():
@@ -143,7 +149,6 @@ def test_sublevel_filtration():
 def test_triangulation_face_closure():
     t = Triangulation([(0, 1, 2)])
     assert (0, 1) in t.simplices and (2,) in t.simplices
-    assert t.maximal_simplices() == [(0, 1, 2)]
 
 
 def test_circle_complex_cos():
@@ -235,14 +240,14 @@ def test_nu_against_simplex_count():
         values = {i: rng.uniform(0, 1) for i in range(n)}
         bc = barcode_of_complex(sublevel_filtration(t, values))
         osc = oscillation(t, values)
-        assert nu(bc, 2 * osc) <= t.n_simplices() / 2
+        assert nu(bc, 2 * osc) <= len(t.simplices) / 2
 
 
 def test_tree_net_rips_bars_short():
     rng = random.Random(8)
     for _ in range(5):
         x, eps = tree_metric_net(rng, n_edges=4, max_len=1.5, spacing=0.5)
-        assert x.check_triangle_inequality()
+        assert satisfies_triangle_inequality(x)
         bc = rips_barcode(x, 2)
         for bar in bc.finite_bars():
             assert bar.length <= 6 * eps + 1e-9
@@ -294,3 +299,53 @@ def test_rips_degree0_deaths_are_mst_weights():
         deaths = sorted(b.death for b in deg0 if b.finite)
         assert len([b for b in deg0 if not b.finite]) == 1
         assert np.allclose(deaths, sorted(weights))
+
+
+def cell_table(c):
+    return {cell.id: (cell.degree, cell.value) for cell in c.cells}
+
+
+def test_rips_matches_max_pairwise_distance():
+    rng = random.Random(21)
+    for trial in range(12):
+        n = rng.randint(1, 8)
+        pts = [[rng.choice([0.0, 1.0, rng.uniform(0, 2)]) for _ in range(2)] for _ in range(n)]
+        if n > 1 and trial % 2 == 0:
+            pts[-1] = list(pts[0])  # coincident points
+        x = FiniteMetricSpace.from_points(pts)
+        max_dim = rng.randint(0, 3)
+        want = {s: (len(s) - 1, max((x.dist[i, j] for i, j in itertools.combinations(s, 2)),
+                                    default=0.0))
+                for k in range(1, max_dim + 2) for s in itertools.combinations(range(n), k)}
+        assert cell_table(rips_complex(x, max_dim)) == want
+
+
+def test_cech_matches_max_face_ball():
+    rng = random.Random(22)
+    for trial in range(8):
+        n = rng.randint(1, 6)
+        pts = np.array([[rng.uniform(0, 2), rng.uniform(0, 2)] for _ in range(n)])
+        if n > 1 and trial % 2 == 0:
+            pts[-1] = pts[0]
+        want = {s: (len(s) - 1, max(2 * meb_radius(pts[list(f)])
+                                    for r in range(1, k + 1)
+                                    for f in itertools.combinations(s, r)))
+                for k in range(1, 4) for s in itertools.combinations(range(n), k)}
+        assert cell_table(cech_complex(PointCloud(pts), 2)) == want
+
+
+def test_torus_matches_sublevel_of_grid_triangulation():
+    rng = np.random.default_rng(23)
+    for nx, ny in ((4, 4), (5, 7), (6, 4)):
+        g = GridFunction(rng.choice([0.0, -0.0, 1.0, 0.5, -2.0], size=(nx, ny)))
+        assert cell_table(torus_grid_complex(g)) == \
+            cell_table(sublevel_filtration(*grid_triangulation(g)))
+
+
+def test_circle_matches_sublevel_of_cycle():
+    rng = random.Random(24)
+    for n in (3, 4, 9):
+        samples = [rng.choice([0.0, -0.0, 1.0, rng.uniform(-1, 1)]) for _ in range(n)]
+        cycle = Triangulation([(i, (i + 1) % n) for i in range(n)])
+        assert cell_table(circle_complex(samples)) == \
+            cell_table(sublevel_filtration(cycle, dict(enumerate(samples))))

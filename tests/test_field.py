@@ -83,3 +83,40 @@ def test_characteristic_validation():
     with pytest.raises(ValueError):
         ff.check_characteristic(4)
     assert ff.check_characteristic(7) == 7
+
+
+def row_echelon_by_rows(m, p):
+    """Reference: the one-row-at-a-time elimination row_echelon replaced."""
+    r = np.mod(np.array(m, dtype=np.int64), p)
+    n_rows, n_cols = r.shape
+    pivot_cols = []
+    row = 0
+    for col in range(n_cols):
+        if row == n_rows:
+            break
+        hits = np.nonzero(r[row:, col])[0]
+        if hits.size == 0:
+            continue
+        pr = row + int(hits[0])
+        if pr != row:
+            r[[row, pr]] = r[[pr, row]]
+        r[row] = np.mod(r[row] * ff.inv_mod(r[row, col], p), p)
+        for i in np.nonzero(r[:, col])[0]:
+            if i != row:
+                r[i] = np.mod(r[i] - r[i, col] * r[row], p)
+        pivot_cols.append(col)
+        row += 1
+    return r, pivot_cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 31, 97, 101]),
+       st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+def test_row_echelon_matches_row_loop(rows, cols, p, density, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    r, piv = ff.row_echelon(m, p)
+    want_r, want_piv = row_echelon_by_rows(m, p)
+    assert piv == want_piv
+    assert np.array_equal(r, want_r)

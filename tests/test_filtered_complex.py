@@ -7,11 +7,12 @@ import pytest
 
 import persimod.field as ff
 from persimod.barcode import Bar, Barcode, boundary_depth
-from persimod.filtered_complex import (Cell, FilteredComplex,
+from persimod.filtered_complex import (Cell, FilteredComplex, _dense,
                                        InvalidComplexError, barannikov_reduce,
                                        barcode_of_complex,
                                        boundary_depth_usher, format_complex,
-                                       homology_module, parse_complex,
+                                       homology_module,
+                                       homology_slice_bases, parse_complex,
                                        random_filtered_complex)
 from persimod.module_rep import barcode as rep_barcode
 
@@ -181,6 +182,55 @@ def test_homology_module_oracle():
                                   for b in bc.bars if b.degree == k))
             assert rep_barcode(homology_module(c, k)) == want
         assert abs(boundary_depth_usher(c) - boundary_depth(bc)) < 1e-12
+
+
+def slice_bases_by_rank(c, degree):
+    """Reference: homology_slice_bases as it was before one elimination per
+    level replaced the per-cycle rank test."""
+    p = c.p
+    cells_k = c._degree_cells.get(degree, [])
+    cells_km1 = c._degree_cells.get(degree - 1, [])
+    cells_kp1 = c._degree_cells.get(degree + 1, [])
+    d_k = _dense(c._degree_columns.get(degree, []), len(cells_km1))
+    d_kp1 = _dense(c._degree_columns.get(degree + 1, []), len(cells_k))
+    out = []
+    for level in c.filtration_values():
+        sel_k = [i for i, cell in enumerate(cells_k) if cell.value <= level]
+        sel_km1 = [i for i, cell in enumerate(cells_km1) if cell.value <= level]
+        sel_kp1 = [j for j, cell in enumerate(cells_kp1) if cell.value <= level]
+        if not sel_k:
+            out.append((ff.zeros(0, 0), ff.zeros(0, 0), sel_k))
+            continue
+        dk = d_k[np.ix_(sel_km1, sel_k)] if sel_km1 else ff.zeros(0, len(sel_k))
+        cycles = ff.kernel_basis(dk, p)
+        bnd = d_kp1[np.ix_(sel_k, sel_kp1)] if sel_kp1 else ff.zeros(len(sel_k), 0)
+        bnd = ff.column_space_basis(bnd, p)
+        reps = []
+        cur, r = bnd, ff.rank(bnd, p)
+        for col in range(cycles.shape[1]):
+            cand = np.hstack([cur, cycles[:, col:col + 1]])
+            rr = ff.rank(cand, p)
+            if rr > r:
+                reps.append(cycles[:, col])
+                cur, r = cand, rr
+        reps_m = np.array(reps, dtype=np.int64).T if reps else ff.zeros(len(sel_k), 0)
+        out.append((reps_m, bnd, sel_k))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_homology_slice_bases_match_rank_selection(p):
+    rng = random.Random(40 + p)
+    for _ in range(25):
+        c = random_filtered_complex(rng, max_cells=20, max_degree=3, p=p)
+        for degree in range(c.max_degree + 1):
+            got = homology_slice_bases(c, degree)
+            want = slice_bases_by_rank(c, degree)
+            assert len(got) == len(want)
+            for (g_reps, g_bnd, g_sel), (w_reps, w_bnd, w_sel) in zip(got, want):
+                assert g_sel == w_sel
+                assert g_reps.shape == w_reps.shape and np.array_equal(g_reps, w_reps)
+                assert g_bnd.shape == w_bnd.shape and np.array_equal(g_bnd, w_bnd)
 
 
 @pytest.mark.parametrize("p", [2, 5])

@@ -124,14 +124,3 @@ def test_sublevel_stability_master_property():
         bf = barcode_of_complex(torus_grid_complex(f))
         bg = barcode_of_complex(torus_grid_complex(g))
         assert bottleneck_distance(bf, bg) <= diff + 1e-9
-
-
-def test_experiment_config_and_batch():
-    from persimod.function_theory import ExperimentConfig, run_length_experiment
-    cfg = ExperimentConfig.from_dict({"grid_size": 16, "lam": 4,
-                                      "seeds": [0, 1], "slack_pct": 5})
-    rows = run_length_experiment(cfg, trials_per_seed=2)
-    assert len(rows) == 4
-    assert all(r["holds"] for r in rows)
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({"grid_size": 1})
