@@ -15,7 +15,7 @@ import numpy as np
 
 from . import field as ff
 from .barcode import Bar, Barcode
-from .filtered_complex import Cell, FilteredComplex, barcode_of_complex
+from .filtered_complex import FilteredComplex, barcode_of_complex
 
 INF = math.inf
 
@@ -28,6 +28,8 @@ class FiniteMetricSpace:
         d = np.asarray(self.dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
         if not np.allclose(d, d.T):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0):
@@ -44,7 +46,9 @@ class FiniteMetricSpace:
     def from_points(cls, points) -> "FiniteMetricSpace":
         pts = np.asarray(points, dtype=float)
         diff = pts[:, None, :] - pts[None, :, :]
-        return cls(np.sqrt((diff ** 2).sum(axis=2)))
+        # distances past the float range become inf, which __post_init__ rejects
+        with np.errstate(over="ignore"):
+            return cls(np.sqrt((diff ** 2).sum(axis=2)))
 
 
 @dataclass
@@ -109,49 +113,47 @@ class Triangulation:
         return sorted({v for s in self.simplices for v in s})
 
 
-def _simplex_boundary(simplex: tuple, p: int) -> dict:
-    """Oriented boundary of a vertex-sorted simplex over F_p."""
-    if len(simplex) == 1:
-        return {}
-    out = {}
-    for j in range(len(simplex)):
-        face = simplex[:j] + simplex[j + 1:]
-        out[face] = (1 if j % 2 == 0 else p - 1)
-    return out
-
-
-def _complex_from_filtered_simplices(simplices: dict, p: int) -> FilteredComplex:
-    cells = [Cell(s, len(s) - 1, u) for s, u in simplices.items()]
-    boundary = {s: _simplex_boundary(s, p) for s in simplices}
-    return FilteredComplex(cells, boundary, p)
+def _first_max(v: np.ndarray) -> np.ndarray:
+    """Row-wise max that keeps the first of equal maxima, as Python's max
+    does; np.maximum would keep the last of -0.0 and 0.0."""
+    return v[np.arange(len(v)), v.argmax(axis=1)]
 
 
 def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
     """Every vertex subset of size <= max_dim + 1, entering at the max of
-    its facets' values and own(subset); vertices enter at 0."""
+    its facets' values and own(rows of subsets); vertices enter at 0."""
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    simplices: dict[tuple, float] = {(i,): 0.0 for i in range(n)}
-    for k in range(2, max_dim + 2):
-        for s in itertools.combinations(range(n), k):
-            simplices[s] = max(*(simplices[s[:i] + s[i + 1:]] for i in range(k)), own(s))
-    return _complex_from_filtered_simplices(simplices, p)
+    subsets = [np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                           dtype=np.int64).reshape(-1, k) for k in range(1, max_dim + 2)]
+
+    def value(k, facet_values):
+        return _first_max(np.column_stack([facet_values, own(subsets[k])])) if k else np.zeros(n)
+
+    return FilteredComplex._of_simplices(range(n), subsets, value, p)
 
 
-def _lower_star(simplices, value, p: int) -> FilteredComplex:
-    """Each simplex enters at the max of its vertex values (value[v])."""
-    return _complex_from_filtered_simplices(
-        {tuple(sorted(s)): max(map(value.__getitem__, s)) for s in simplices}, p)
+def _lower_star(labels: Sequence, simplices: list, vertex_values, p: int) -> FilteredComplex:
+    """Each simplex enters at the max of its vertex values, taken in the
+    order its vertices are given; simplices[k] holds the degree-k
+    simplices as rows of vertex indices into labels, in any order."""
+    vv = np.array(vertex_values, dtype=float)
+    rows, values = [], []
+    for given in simplices:
+        srt = np.sort(given, axis=1)
+        order = np.lexsort(srt.T[::-1])
+        rows.append(srt[order])
+        values.append(_first_max(vv[given])[order])
+    return FilteredComplex._of_simplices(labels, rows, lambda k, facet_values: values[k], p)
 
 
 def rips_complex(x: FiniteMetricSpace, max_dim: int,
                  p: int = ff.DEFAULT_P) -> FilteredComplex:
     """Flag complex with entry value the simplex diameter (vertices at 0);
     a simplex is present at parameter t exactly when t exceeds its value."""
-    d = x.dist.tolist()
     # the facets already carry every other pair, so a simplex only adds
     # the distance between its first and last vertex
-    return _nerve(x.n, max_dim, lambda s: d[s[0]][s[-1]], p)
+    return _nerve(x.n, max_dim, lambda rows: x.dist[rows[:, 0], rows[:, -1]], p)
 
 
 def drop_top_degree(b: Barcode, max_dim: int) -> Barcode:
@@ -218,7 +220,8 @@ def cech_complex(cloud: PointCloud, max_dim: int,
     """Nerve of balls of radius t/2: entry value of a simplex is twice the
     minimal enclosing ball radius of its vertices."""
     pts = cloud.points
-    return _nerve(cloud.n, max_dim, lambda s: 2.0 * meb_radius(pts[list(s)]), p)
+    return _nerve(cloud.n, max_dim,
+                  lambda rows: np.array([2.0 * meb_radius(pts[s]) for s in rows]), p)
 
 
 def log2_rescale(b: Barcode) -> Barcode:
@@ -238,10 +241,15 @@ def log2_rescale(b: Barcode) -> Barcode:
 def sublevel_filtration(t: Triangulation, vertex_values: dict,
                         p: int = ff.DEFAULT_P) -> FilteredComplex:
     """Lower-star extension u(sigma) = max of the vertex values."""
-    missing = [v for v in t.vertices() if v not in vertex_values]
+    labels = t.vertices()
+    missing = [v for v in labels if v not in vertex_values]
     if missing:
         raise ValueError(f"missing values for vertices {missing}")
-    return _lower_star(t.simplices, vertex_values, p)
+    index = {v: i for i, v in enumerate(labels)}
+    # t.simplices run by size, so each group is one degree
+    simplices = [np.array([[index[v] for v in s] for s in same])
+                 for _, same in itertools.groupby(t.simplices, len)]
+    return _lower_star(labels, simplices, [vertex_values[v] for v in labels], p)
 
 
 def circle_complex(samples: Sequence[float], p: int = ff.DEFAULT_P) -> FilteredComplex:
@@ -250,18 +258,19 @@ def circle_complex(samples: Sequence[float], p: int = ff.DEFAULT_P) -> FilteredC
     n = len(samples)
     if n < 3:
         raise ValueError("need at least 3 cyclic samples")
-    value = [float(x) for x in samples]
-    return _lower_star([(i,) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)],
-                       value, p)
+    i = np.arange(n)
+    return _lower_star(range(n), [i[:, None], np.stack([i, (i + 1) % n], axis=1)],
+                       [float(x) for x in samples], p)
 
 
 def _torus_squares(nx: int, ny: int):
-    """Corners (a, b, c, d) = (i, j), (i+1, j), (i, j+1), (i+1, j+1) of
-    every square of the periodic nx x ny grid."""
-    for i in range(nx):
-        for j in range(ny):
-            yield ((i, j), ((i + 1) % nx, j), (i, (j + 1) % ny),
-                   ((i + 1) % nx, (j + 1) % ny))
+    """The vertex labels (i, j) of the periodic nx x ny grid, and as
+    indices i * ny + j into them the corners a, b, c, d = (i, j),
+    (i+1, j), (i, j+1), (i+1, j+1) of every square."""
+    a = np.arange(nx * ny).reshape(nx, ny)
+    b, c = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
+    return ([(i, j) for i in range(nx) for j in range(ny)],
+            [v.ravel() for v in (a, b, c, np.roll(b, -1, axis=1))])
 
 
 def torus_grid_complex(g: GridFunction, p: int = ff.DEFAULT_P) -> FilteredComplex:
@@ -272,12 +281,10 @@ def torus_grid_complex(g: GridFunction, p: int = ff.DEFAULT_P) -> FilteredComple
     nx, ny = g.nx, g.ny
     if nx < 4 or ny < 4:
         raise ValueError("grid too small; need at least 4x4")
-    vals = g.values.tolist()
-    value = {(i, j): vals[i][j] for i in range(nx) for j in range(ny)}
-    simplices = [(v,) for v in value]
-    for a, b, c, d in _torus_squares(nx, ny):
-        simplices += [(a, b), (a, c), (a, d), (a, b, d), (a, c, d)]
-    return _lower_star(simplices, value, p)
+    labels, (a, b, c, d) = _torus_squares(nx, ny)
+    edges = np.concatenate([np.stack(e, axis=1) for e in ((a, b), (a, c), (a, d))])
+    triangles = np.concatenate([np.stack(t, axis=1) for t in ((a, b, d), (a, c, d))])
+    return _lower_star(labels, [a[:, None], edges, triangles], g.values.ravel(), p)
 
 
 def oscillation(t: Triangulation, vertex_values: dict) -> float:
@@ -291,7 +298,9 @@ def oscillation(t: Triangulation, vertex_values: dict) -> float:
 
 def grid_triangulation(g: GridFunction) -> tuple[Triangulation, dict]:
     """The torus grid as a Triangulation plus its vertex values."""
-    tris = [t for a, b, c, d in _torus_squares(g.nx, g.ny) for t in ((a, b, d), (a, c, d))]
+    labels, (a, b, c, d) = _torus_squares(g.nx, g.ny)
+    tris = [tuple(labels[v] for v in t) for corners in ((a, b, d), (a, c, d))
+            for t in np.stack(corners, axis=1).tolist()]
     values = {(i, j): float(g.values[i, j]) for i in range(g.nx) for j in range(g.ny)}
     return Triangulation(tris, realization="torus-grid"), values
 

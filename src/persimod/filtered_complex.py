@@ -11,9 +11,13 @@ closing cycles.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,78 +39,224 @@ class Cell:
     value: float
 
 
-@dataclass
+class _Block(NamedTuple):
+    """The cells of one degree in reduction order: float64 values and the
+    boundary as CSR columns; column j holds rows[indptr[j]:indptr[j + 1]]
+    (indices into the degree below) with coeffs (nonzero mod p)."""
+
+    values: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    coeffs: np.ndarray
+
+    def entry_cols(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.values)), self.indptr[1:] - self.indptr[:-1])
+
+    def columns(self) -> list[dict[int, int]]:
+        rows, coeffs, ptr = self.rows.tolist(), self.coeffs.tolist(), self.indptr.tolist()
+        return [dict(zip(rows[a:b], coeffs[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+
+_NO_CELLS = _Block(np.zeros(0), np.zeros(1, np.int64), np.zeros(0, np.int64),
+                   np.zeros(0, np.int64))
+
+
 class FilteredComplex:
     """Graded cells with filtration values and a field-coefficient boundary.
 
     boundary maps a cell id to {face id: coefficient}; faces must live in
     the degree right below and at a filtration value <= the cell's own.
-    cells and boundary are read once, at construction, which validates
-    them and stores what every consumer reads: per degree, the cells in
-    reduction order and their boundary columns {row: coeff mod p} (rows
-    index the degree below), and a map id -> (cell, index in its degree).
+
+    Every consumer reads one array form, a _Block per degree: the values
+    in reduction order and the boundary as CSR columns mod p.
+    FilteredComplex(cells, boundary, p) checks the faces one by one and
+    converts to it.  The builders in complexes fill it directly through
+    _of_simplices and keep vertex-index rows, from which the cells, the
+    boundary dict and the ids of a built complex are made when first read.
     """
 
-    cells: list[Cell]
-    boundary: dict
-    p: int = ff.DEFAULT_P
+    def __init__(self, cells: list[Cell], boundary: dict, p: int = ff.DEFAULT_P):
+        self.cells, self.boundary, self.p = cells, boundary, p
+        self.__post_init__()
+
+    @classmethod
+    def _of_simplices(cls, labels, simplices: list, value, p: int) -> FilteredComplex:
+        """The complex of a closed set of simplices on range(len(labels)),
+        filled without making ids.  simplices[k] holds the degree-k ones as
+        rows of sorted vertex indices in lexicographic order (row i of
+        degree 0 is vertex i).  They enter at value(k, facet_values), where
+        column t of facet_values is the value of the facet without vertex t
+        (None for vertices); that facet has the sign (-1)^t."""
+        n = len(labels)
+        # ties in value break as _order_key breaks them for the label-tuple
+        # ids: a tuple's repr orders like its labels' reprs in turn
+        rank = np.empty(n, np.int64)
+        rank[sorted(range(n), key=[repr(x) for x in labels].__getitem__)] = np.arange(n)
+        c = cls.__new__(cls)
+        c.p, c._labels, c._blocks, c._vertices = p, labels, {}, {}
+        keys = [None]    # keys[k]: the sorted lookup keys of degree k (see _index)
+        for k, rows in enumerate(simplices):
+            if not len(rows):
+                break
+            if k:
+                faces = np.stack([_index(keys, np.delete(rows, t, axis=1), n)
+                                  for t in range(k + 1)], axis=1)
+                keys.append(faces[:, k] * n + rows[:, -1])
+            values = value(k, values[faces] if k else None)
+            order = np.lexsort([rank[rows[:, t]] for t in range(k, -1, -1)] + [values])
+            m = k + 1 if k else 0    # faces per cell
+            c._blocks[k] = _Block(values[order], np.arange(len(rows) + 1) * m,
+                                  where[faces[order]].ravel() if k else np.zeros(0, np.int64),
+                                  np.tile(np.where(np.arange(m) % 2, p - 1, 1), len(rows)))
+            c._vertices[k] = rows[order]
+            where = np.empty(len(rows), np.int64)    # lexicographic -> reduction index
+            where[order] = np.arange(len(rows))
+        c.__post_init__()
+        return c
 
     def __post_init__(self):
+        """Convert hand-made cells, then check the arrays of either route:
+        faces in range and not above their cell's value, and d(d) = 0."""
         ff.check_characteristic(self.p)
-        p = self.p
-        cells_of: dict[int, list[Cell]] = {}
-        where: dict = {}  # cell id -> (cell, index within its degree)
-        for cell in sorted(self.cells, key=_order_key):
-            same = cells_of.setdefault(cell.degree, [])
-            where[cell.id] = (cell, len(same))
-            same.append(cell)
-        if len(where) != len(self.cells):
-            raise InvalidComplexError("duplicate cell ids")
-        columns = {k: [None] * len(same) for k, same in cells_of.items()}
-        for c in self.cells:
-            col = {}
-            for face_id, coeff in self.boundary.get(c.id, {}).items():
-                hit = where.get(face_id)
-                if hit is None:
-                    raise InvalidComplexError(f"boundary of {c.id} hits unknown cell {face_id}")
-                face, row = hit
-                if face.degree != c.degree - 1:
-                    raise InvalidComplexError(
-                        f"boundary of {c.id} (degree {c.degree}) hits degree {face.degree}")
-                if face.value > c.value:
-                    raise InvalidComplexError(
-                        f"filtration increases along boundary of {c.id}")
-                if coeff % p:
-                    col[row] = coeff % p
-            columns[c.degree][where[c.id][1]] = col
-        for c in self.cells:
-            below = columns.get(c.degree - 1)
-            acc: dict = {}
-            for row, coeff in columns[c.degree][where[c.id][1]].items():
-                for r2, c2 in below[row].items():
-                    acc[r2] = (acc.get(r2, 0) + coeff * c2) % p
-            if any(acc.values()):
-                raise InvalidComplexError(f"d(d({c.id})) != 0")
-        self._degree_cells, self._degree_columns, self._where = cells_of, columns, where
+        if "_blocks" not in vars(self):
+            self._cells, self._blocks = _convert(self.cells, self.boundary, self.p)
+        p, dd_fails = self.p, set()
+        for k in sorted(self._blocks):
+            b, below = self._blocks[k], self._block(k - 1)
+            if not b.rows.size:
+                continue
+            cols = b.entry_cols()
+            outside = (b.rows < 0) | (b.rows >= len(below.values))
+            if outside.any():
+                raise InvalidComplexError(
+                    f"boundary of {self._cells[k][cols[outside][0]].id} hits an unknown cell")
+            raised = below.values[b.rows] > b.values[cols]
+            if raised.any():
+                raise InvalidComplexError(
+                    f"filtration increases along boundary of {self._cells[k][cols[raised][0]].id}")
+            # entry (r, j, v) of d_k meets entry (r2, r, v2) of d_{k-1} in
+            # (r2, j, v * v2); d(d) = 0 when these sum to 0 for each (r2, j)
+            n = (below.indptr[1:] - below.indptr[:-1])[b.rows]
+            end = np.cumsum(n)
+            if not end[-1]:
+                continue
+            sub = np.repeat(below.indptr[b.rows] - end + n, n) + np.arange(end[-1])
+            n2 = len(self._block(k - 2).values)
+            key = np.repeat(cols, n) * n2 + below.rows[sub]
+            order = np.argsort(key)
+            key = key[order]
+            dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
+            terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
+            start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            hit = key[start[np.add.reduceat(terms[order], start) % p != 0]] // n2
+            dd_fails.update((k, j) for j in hit.tolist())
+        if dd_fails:
+            ids = {self._cells[k][j].id for k, j in dd_fails}
+            raise InvalidComplexError(f"d(d({next(c.id for c in self.cells if c.id in ids)})) != 0")
+
+    @cached_property
+    def _cells(self) -> dict[int, list[Cell]]:
+        """Cells of each degree in reduction order; only a built complex
+        makes them here, FilteredComplex(cells, ...) stores its own."""
+        return {k: [Cell(tuple([self._labels[v] for v in row]), k, value)
+                    for row, value in zip(self._vertices[k].tolist(), b.values.tolist())]
+                for k, b in self._blocks.items()}
+
+    @cached_property
+    def cells(self) -> list[Cell]:
+        return [cell for k in sorted(self._cells) for cell in self._cells[k]]
+
+    @cached_property
+    def boundary(self) -> dict:
+        return {cell.id: {self._cells[k - 1][r].id: v for r, v in col.items()}
+                for k, b in self._blocks.items()
+                for cell, col in zip(self._cells[k], b.columns())}
+
+    def _block(self, k: int) -> _Block:
+        return self._blocks.get(k, _NO_CELLS)
 
     @property
     def max_degree(self) -> int:
-        return max(self._degree_cells, default=-1)
+        return max(self._blocks, default=-1)
 
     def n_cells(self) -> int:
-        return len(self.cells)
+        return sum(len(b.values) for b in self._blocks.values())
 
     def filtration_values(self) -> list[float]:
         return sorted({c.value for c in self.cells})
 
     def cells_of_degree(self, k: int) -> list[Cell]:
         """Cells of degree k in reduction order (value, then id)."""
-        return list(self._degree_cells.get(k, []))
+        return list(self._cells.get(k, []))
+
+
+def _index(keys: list, rows: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic position of each row of sorted vertex indices among
+    the simplices of its size; keys[d] holds the sorted keys of degree d."""
+    idx = rows[:, 0]
+    for d in range(1, rows.shape[1]):
+        idx = np.searchsorted(keys[d], idx * n + rows[:, d])
+    return idx
 
 
 def _order_key(cell: Cell):
     """Reduction order: degree-major, then filtration value, then id."""
     return (cell.degree, cell.value, str(type(cell.id)), repr(cell.id))
+
+
+def _convert(cells: list[Cell], boundary: dict, p: int):
+    """Check cells and boundary face by face, in the order given, and
+    convert them: the cells of each degree in reduction order, and their
+    blocks."""
+    cells_of: dict[int, list[Cell]] = {}
+    where: dict = {}  # cell id -> (cell, index within its degree)
+    for cell in sorted(cells, key=_order_key):
+        same = cells_of.setdefault(cell.degree, [])
+        where[cell.id] = (cell, len(same))
+        same.append(cell)
+    if len(where) != len(cells):
+        raise InvalidComplexError("duplicate cell ids")
+    columns = {k: [None] * len(same) for k, same in cells_of.items()}
+    for c in cells:
+        col = {}
+        for face_id, coeff in boundary.get(c.id, {}).items():
+            hit = where.get(face_id)
+            if hit is None:
+                raise InvalidComplexError(f"boundary of {c.id} hits unknown cell {face_id}")
+            face, row = hit
+            if face.degree != c.degree - 1:
+                raise InvalidComplexError(
+                    f"boundary of {c.id} (degree {c.degree}) hits degree {face.degree}")
+            if face.value > c.value:
+                raise InvalidComplexError(
+                    f"filtration increases along boundary of {c.id}")
+            if coeff % p:
+                col[row] = coeff % p
+        columns[c.degree][where[c.id][1]] = col
+    return cells_of, {k: _Block(np.array([cell.value for cell in same], dtype=float),
+                                np.array([0, *itertools.accumulate(map(len, columns[k]))]),
+                                np.array([r for col in columns[k] for r in col], dtype=np.int64),
+                                np.array([v for col in columns[k] for v in col.values()],
+                                         dtype=np.int64))
+                      for k, same in cells_of.items()}
+
+
+class _Ids(Mapping):
+    """JordanPairing.order: degree -> ids in reduction order, made when read."""
+
+    def __init__(self, c: FilteredComplex):
+        self._c, self._degrees = c, range(c.max_degree + 1)
+
+    def __getitem__(self, k) -> list:
+        if k not in self._degrees:
+            raise KeyError(k)
+        return [cell.id for cell in self._c.cells_of_degree(k)]
+
+    def __iter__(self):
+        return iter(self._degrees)
+
+    def __len__(self) -> int:
+        return len(self._degrees)
 
 
 @dataclass
@@ -120,28 +270,19 @@ class JordanPairing:
     change of basis as {index: coeff} over the original degree-k cells.
     """
 
-    order: dict[int, list]
+    order: Mapping[int, list]
     values: dict[int, list[float]]
     pairing: dict[int, dict[int, int]]
     unpaired: dict[int, list[int]]
     basis: Optional[dict[int, list[dict[int, int]]]] = None
 
 
-def _dense(columns: list[dict[int, int]], n_rows: int) -> np.ndarray:
-    m = ff.zeros(n_rows, len(columns))
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            m[r, j] = v
+def _dense(c: FilteredComplex, k: int) -> np.ndarray:
+    """d_k as a dense matrix: rows the degree k-1 cells, columns the degree k cells."""
+    b = c._block(k)
+    m = ff.zeros(len(c._block(k - 1).values), len(b.values))
+    m[b.rows, b.entry_cols()] = b.coeffs
     return m
-
-
-def _bits(mask: int) -> dict[int, int]:
-    out = {}
-    while mask:
-        low_bit = mask & -mask
-        out[low_bit.bit_length() - 1] = 1
-        mask ^= low_bit
-    return out
 
 
 def _subtract(col: dict[int, int], other: dict[int, int], lam: int, p: int) -> None:
@@ -154,12 +295,12 @@ def _subtract(col: dict[int, int], other: dict[int, int], lam: int, p: int) -> N
             col.pop(r, None)
 
 
-def _reduce(columns: list[dict[int, int]], p: int, want_basis: bool):
+def _reduce(block: _Block, p: int, want_basis: bool):
     """Low-driven column reduction over F_p: each column in turn subtracts
     earlier reduced columns until its lowest row is new, and pairs with
-    that row, or it vanishes.  Over F_2 columns are bitmasks and each
-    subtraction is one xor; otherwise copies of the {row: coeff} columns
-    are reduced in place, so the input columns are never changed.
+    that row, or it vanishes.  Without want_basis over F_2 columns are
+    bitmasks and each subtraction is one xor; otherwise {row: coeff}
+    columns are reduced in place.
 
     Returns (pairing, reduced, basis): pairing maps column j to its lowest
     row.  With want_basis, reduced[j] is the reduced column and basis[j]
@@ -167,9 +308,10 @@ def _reduce(columns: list[dict[int, int]], p: int, want_basis: bool):
     {index: coeff}; without it both are None.
     """
     low_to_col: dict[int, int] = {}
-    if p == 2:
-        cols = [sum(1 << r for r in col) for col in columns]
-        basis = [1 << j for j in range(len(cols))] if want_basis else None
+    basis = None
+    if p == 2 and not want_basis:
+        rows, ptr = block.rows.tolist(), block.indptr.tolist()
+        cols = [sum(map((1).__lshift__, rows[a:b])) for a, b in zip(ptr, ptr[1:])]
         for j in range(len(cols)):
             col = cols[j]
             while col:
@@ -179,14 +321,11 @@ def _reduce(columns: list[dict[int, int]], p: int, want_basis: bool):
                     low_to_col[low] = j
                     break
                 col ^= cols[i]
-                if want_basis:
-                    basis[j] ^= basis[i]
             cols[j] = col
-        if want_basis:
-            cols, basis = [_bits(m) for m in cols], [_bits(m) for m in basis]
     else:
-        cols = [dict(col) for col in columns]
-        basis = [{j: 1} for j in range(len(cols))] if want_basis else None
+        cols = block.columns()
+        if want_basis:
+            basis = [{j: 1} for j in range(len(cols))]
         for j, col in enumerate(cols):
             while col:
                 low = max(col)
@@ -210,15 +349,13 @@ def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPair
     and pairs what survives with its maximal-index term; that is exactly
     the low-driven column reduction of _reduce.
     """
-    order: dict[int, list] = {}
     values: dict[int, list[float]] = {}
     pairing: dict[int, dict[int, int]] = {}
     basis: Optional[dict[int, list[dict[int, int]]]] = {} if want_basis else None
     for k in range(c.max_degree + 1):
-        cells = c._degree_cells.get(k, [])
-        order[k] = [cell.id for cell in cells]
-        values[k] = [cell.value for cell in cells]
-        pairing[k], reduced, basis_k = _reduce(c._degree_columns.get(k, []), c.p, want_basis)
+        block = c._block(k)
+        values[k] = block.values.tolist()
+        pairing[k], reduced, basis_k = _reduce(block, c.p, want_basis)
         if want_basis:
             basis[k] = basis_k
             # replacement step: the partner's basis vector becomes d(f_j)
@@ -226,11 +363,11 @@ def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPair
                 basis[k - 1][low] = reduced[j]
 
     unpaired: dict[int, list[int]] = {}
-    for k in order:
+    for k in values:
         hit_from_above = set(pairing.get(k + 1, {}).values())
-        unpaired[k] = [j for j in range(len(order[k]))
+        unpaired[k] = [j for j in range(len(values[k]))
                        if j not in pairing[k] and j not in hit_from_above]
-    return JordanPairing(order, values, pairing, unpaired, basis)
+    return JordanPairing(_Ids(c), values, pairing, unpaired, basis)
 
 
 def barcode_of_complex(c: FilteredComplex) -> Barcode:
@@ -241,7 +378,7 @@ def barcode_of_complex(c: FilteredComplex) -> Barcode:
     """
     jp = barannikov_reduce(c, want_basis=False)
     bars: list[Bar] = []
-    for k in sorted(jp.order):
+    for k in sorted(jp.values):
         for j, low in jp.pairing.get(k, {}).items():
             a = jp.values[k - 1][low]
             b = jp.values[k][j]
@@ -261,20 +398,20 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
     if not values:
         return 0.0
     # all cells in degree-major reduction order, rows offset to match
-    offset: dict[int, int] = {}
-    cells: list[Cell] = []
-    for k in sorted(c._degree_cells):
-        offset[k] = len(cells)
-        cells += c._degree_cells[k]
-    image = _dense([{offset[k - 1] + r: v for r, v in col.items()}
-                    for k in offset for col in c._degree_columns[k]], len(cells))
-    cell_level = np.array([cell.value for cell in cells])
+    degrees = sorted(c._blocks)
+    cell_level = np.concatenate([c._blocks[k].values for k in degrees])
+    offset = dict(zip(degrees, np.cumsum([0] + [len(c._blocks[k].values) for k in degrees])))
+    image = ff.zeros(len(cell_level), len(cell_level))
+    for k in degrees:
+        b = c._blocks[k]
+        if b.rows.size:
+            image[offset[k - 1] + b.rows, offset[k] + b.entry_cols()] = b.coeffs
 
     # basis of (im d) cap C^lam per level: solve for image vectors supported in C^lam
     boundaries_at = []
     for lam in values:
         outside = cell_level > lam
-        ker = ff.kernel_basis(image[outside, :], p) if outside.any() else ff.eye(len(cells))
+        ker = ff.kernel_basis(image[outside, :], p) if outside.any() else ff.eye(len(cell_level))
         inter = ff.matmul(image, ker, p)
         if inter.any():
             boundaries_at.append((lam, inter))
@@ -311,27 +448,22 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
     on this exact basis choice.
     """
     p = c.p
-    cells_k = c._degree_cells.get(degree, [])
-    cells_km1 = c._degree_cells.get(degree - 1, [])
-    cells_kp1 = c._degree_cells.get(degree + 1, [])
-    d_k = _dense(c._degree_columns.get(degree, []), len(cells_km1))
-    d_kp1 = _dense(c._degree_columns.get(degree + 1, []), len(cells_k))
+    values = [c._block(k).values.tolist() for k in (degree - 1, degree, degree + 1)]
+    d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
     out = []
     for level in c.filtration_values():
-        sel_k = [i for i, cell in enumerate(cells_k) if cell.value <= level]
-        sel_km1 = [i for i, cell in enumerate(cells_km1) if cell.value <= level]
-        sel_kp1 = [j for j, cell in enumerate(cells_kp1) if cell.value <= level]
-        if not sel_k:
-            out.append((ff.zeros(0, 0), ff.zeros(0, 0), sel_k))
+        # values ascend within a degree, so each level selects a prefix
+        n_km1, n_k, n_kp1 = (bisect.bisect_right(v, level) for v in values)
+        if not n_k:
+            out.append((ff.zeros(0, 0), ff.zeros(0, 0), []))
             continue
-        dk = d_k[np.ix_(sel_km1, sel_k)] if sel_km1 else ff.zeros(0, len(sel_k))
-        cycles = ff.kernel_basis(dk, p)
-        bnd = d_kp1[np.ix_(sel_k, sel_kp1)] if sel_kp1 else ff.zeros(len(sel_k), 0)
+        cycles = ff.kernel_basis(d_k[:n_km1, :n_k], p)
+        bnd = d_kp1[:n_k, :n_kp1]
         # a column is a pivot of [bnd | cycles] exactly when it lies outside
         # the span of the columns before it
         piv = np.array(ff.row_echelon(np.hstack([bnd, cycles]), p)[1], dtype=int)
         nb = bnd.shape[1]
-        out.append((cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]], sel_k))
+        out.append((cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]], list(range(n_k))))
     return out
 
 
@@ -352,9 +484,9 @@ def _module_of_slices(c: FilteredComplex, reps_by_level) -> ModuleRep:
         reps_t, bnd_t, sel_t = reps_by_level[t + 1]
         m = ff.zeros(dims[t + 2], dims[t + 1])
         if dims[t + 1] and dims[t + 2]:
-            pos = {g: i for i, g in enumerate(sel_t)}
+            # the cells of a level are a prefix of those of the next one
             lift = ff.zeros(len(sel_t), reps_s.shape[1])
-            lift[[pos[g] for g in sel_s]] = reps_s
+            lift[:len(sel_s)] = reps_s
             sol = ff.solve(np.hstack([bnd_t, reps_t]), lift, p)
             m = sol[bnd_t.shape[1]:, :]
         elif dims[t + 1] and not dims[t + 2]:
@@ -401,9 +533,10 @@ def parse_complex(text: str, p: int = ff.DEFAULT_P) -> FilteredComplex:
 
 def format_complex(c: FilteredComplex) -> str:
     lines = []
-    for k in sorted(c._degree_cells):
-        for cell, col in zip(c._degree_cells[k], c._degree_columns[k]):
-            bd = sorted(((c._degree_cells[k - 1][r].id, v) for r, v in col.items()),
+    for k in sorted(c._blocks):
+        below = c.cells_of_degree(k - 1)
+        for cell, col in zip(c.cells_of_degree(k), c._blocks[k].columns()):
+            bd = sorted(((below[r].id, v) for r, v in col.items()),
                         key=lambda t: str(t[0]))
             # over F_2 every stored coefficient is 1, so it is left implicit
             faces = " ".join(str(f) if c.p == 2 else f"{f}:{v}" for f, v in bd)
@@ -434,8 +567,11 @@ def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,
         # boundary = random element of ker(d_{k-1})
         if k >= 2:
             rows = {cell.id: t for t, cell in enumerate(by_degree[k - 2])}
-            ker = ff.kernel_basis(_dense([{rows[f]: v for f, v in boundary[x.id].items()}
-                                          for x in below], len(rows)), p)
+            d = ff.zeros(len(rows), len(below))
+            for j, x in enumerate(below):
+                for f, v in boundary[x.id].items():
+                    d[rows[f], j] = v
+            ker = ff.kernel_basis(d, p)
         else:
             ker = ff.eye(len(below))
         if ker.shape[1] == 0:

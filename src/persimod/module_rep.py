@@ -285,30 +285,32 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     return ModuleMorphism(f.source, g.target, comps)
 
 
-def kernel(f: ModuleMorphism) -> ModuleRep:
-    """Kernel submodule in deterministic reduced bases."""
-    p = f.p
-    bases = [ff.kernel_basis(a, p) for a in f.components]
+def _restrict(v: ModuleRep, bases: list[np.ndarray]) -> ModuleRep:
+    """The submodule of v spanned slice by slice by the columns of bases,
+    in their coordinates.  Raises ValueError if a transition map carries a
+    basis out of the next slice's span."""
+    p = v.p
     dims = [b.shape[1] for b in bases]
     maps = []
-    for i in range(len(f.source.spectrum)):
-        img = ff.matmul(f.source.maps[i], bases[i], p)
-        maps.append(ff.coordinates_in_basis(bases[i + 1], img, p)
-                    if dims[i + 1] else ff.zeros(0, dims[i]))
-    return ModuleRep(list(f.source.spectrum), dims, maps, p)
+    for i in range(len(v.spectrum)):
+        img = ff.matmul(v.maps[i], bases[i], p)
+        if dims[i + 1]:
+            maps.append(ff.coordinates_in_basis(bases[i + 1], img, p))
+        elif img.any():
+            raise ValueError("transition map leaves the submodule")
+        else:
+            maps.append(ff.zeros(0, dims[i]))
+    return ModuleRep(list(v.spectrum), dims, maps, p)
+
+
+def kernel(f: ModuleMorphism) -> ModuleRep:
+    """Kernel submodule in deterministic reduced bases."""
+    return _restrict(f.source, [ff.kernel_basis(a, f.p) for a in f.components])
 
 
 def image(f: ModuleMorphism) -> ModuleRep:
     """Image submodule in deterministic reduced bases."""
-    p = f.p
-    bases = [ff.column_space_basis(a, p) for a in f.components]
-    dims = [b.shape[1] for b in bases]
-    maps = []
-    for i in range(len(f.source.spectrum)):
-        img = ff.matmul(f.target.maps[i], bases[i], p)
-        maps.append(ff.coordinates_in_basis(bases[i + 1], img, p)
-                    if dims[i + 1] else ff.zeros(0, dims[i]))
-    return ModuleRep(list(f.source.spectrum), dims, maps, p)
+    return _restrict(f.target, [ff.column_space_basis(a, f.p) for a in f.components])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from . import field as ff
 from .barcode import Bar, Barcode, mu_odd
 from .filtered_complex import FilteredComplex, _module_of_slices, homology_slice_bases
-from .module_rep import ModuleRep, barcode
+from .module_rep import ModuleRep, _restrict, barcode
 
 DEFAULT_REP_P = 5
 
@@ -75,20 +75,10 @@ def eigenspace_submodule(r: ModuleRepWithAction, xi: int) -> ModuleRep:
         raise ValueError(f"{xi} is not an order-{r.order} root of unity mod {p}")
     bases = [ff.kernel_basis(np.mod(rho - int(xi) % p * ff.eye(rho.shape[0]), p), p)
              for rho in r.action]
-    dims = [b.shape[1] for b in bases]
-    maps = []
-    for i in range(len(r.rep.spectrum)):
-        img = ff.matmul(r.rep.maps[i], bases[i], p)
-        if dims[i + 1] == 0:
-            if img.any():
-                raise EquivarianceError("transition leaves the eigenspace")
-            maps.append(ff.zeros(0, dims[i]))
-            continue
-        try:
-            maps.append(ff.coordinates_in_basis(bases[i + 1], img, p))
-        except ValueError:
-            raise EquivarianceError("transition leaves the eigenspace") from None
-    return ModuleRep(list(r.rep.spectrum), dims, maps, p)
+    try:
+        return _restrict(r.rep, bases)
+    except ValueError:
+        raise EquivarianceError("transition leaves the eigenspace") from None
 
 
 def even_multiplicity_check(b: Barcode) -> bool:
@@ -159,7 +149,9 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
     norm = {}
     for k, v in cell_map.items():
         norm[k] = v if isinstance(v, tuple) else (v, 1)
-    where = c._where
+    cells = {k: c.cells_of_degree(k) for k in c._blocks}
+    where = {cell.id: (cell, i) for same in cells.values() for i, cell in enumerate(same)}
+    columns = {k: b.columns() for k, b in c._blocks.items()}
     for cid, (img, coeff) in norm.items():
         if where[cid][0].degree != where[img][0].degree:
             raise ValueError("cell map must preserve degree")
@@ -168,9 +160,9 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
     # chain map check: d(T e) = T(d e), on the boundary columns
     for cid, (img, coeff) in norm.items():
         (cell, i), j = where[cid], where[img][1]
-        columns, faces = c._degree_columns[cell.degree], c._degree_cells.get(cell.degree - 1)
-        diff = {r: coeff * v for r, v in columns[j].items()}
-        for r, v in columns[i].items():
+        col, faces = columns[cell.degree], cells.get(cell.degree - 1)
+        diff = {r: coeff * v for r, v in col[j].items()}
+        for r, v in col[i].items():
             fi, fc = norm[faces[r].id]
             row = where[fi][1]
             diff[row] = diff.get(row, 0) - v * fc
@@ -178,7 +170,7 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
             raise EquivarianceError(f"cell map is not a chain map at {cid}")
 
     slices = homology_slice_bases(c, degree)
-    cells_k = c._degree_cells.get(degree, [])
+    cells_k = cells.get(degree, [])
     perm = ff.zeros(len(cells_k), len(cells_k))
     for i, cell in enumerate(cells_k):
         img, coeff = norm[cell.id]

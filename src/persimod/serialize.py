@@ -26,7 +26,8 @@ def _num_in(x) -> float:
         return INF
     if x == "-inf":
         return -INF
-    if not isinstance(x, (int, float)):
+    # JSON true/false load as bool, which is an int subclass
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"not a number: {x!r}")
     try:
         return float(x)
@@ -48,7 +49,7 @@ def barcode_from_dict(d: dict) -> Barcode:
         if not isinstance(rec, dict) or "birth" not in rec or "death" not in rec:
             raise ValueError(f"bar {i}: need birth and death")
         degree = rec.get("degree")
-        if degree is not None and not isinstance(degree, int):
+        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
             raise ValueError(f"bar {i}: degree must be an integer or null")
         bars.append(Bar(_num_in(rec["birth"]), _num_in(rec["death"]), degree))
     return Barcode(bars)

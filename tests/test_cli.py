@@ -46,6 +46,22 @@ def test_json_schema_errors():
         barcode_from_dict({"bars": [{"birth": "oops", "death": 1}]})
     with pytest.raises(ValueError, match="out of the float range"):
         barcode_from_dict({"bars": [{"birth": 10 ** 400, "death": 1}]})
+    # JSON booleans are not numbers, though Python's bool is an int
+    for bar in ({"birth": False, "death": 1}, {"birth": 0, "death": True},
+                {"birth": 0, "death": 1, "degree": True}):
+        with pytest.raises(ValueError):
+            barcode_from_dict({"bars": [bar]})
+
+
+@pytest.mark.parametrize("bar, err", [
+    ('{"birth": false, "death": true, "degree": true}', "bar 0: degree must be an integer"),
+    ('{"birth": false, "death": true}', "not a number: False"),
+])
+def test_cmd_invariants_rejects_boolean_bars(tmp_path, capsys, bar, err):
+    path = tmp_path / "b.json"
+    path.write_text('{"bars": [%s]}' % bar)
+    assert main(["invariants", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: " + err)
 
 
 def test_cmd_rips_hexagon(tmp_path):
@@ -71,18 +87,25 @@ def test_cmd_rips_rejects_missing_and_bad_files(tmp_path, capsys):
     assert main(["rips", str(empty)]) == 1
 
 
+# finite points whose distance overflows have no bad cell to point at
+OVERFLOWING_POINTS = "1e300,0\n-1e300,0\n"
+
+
 @pytest.mark.parametrize("argv, text", [
     (["rips"], "0,0\n1,nan\n0,1\n"),
     (["rips", "--distance-matrix"], "0,1\n1,inf\n"),
     (["torus"], "1,2\n3,NaN\n"),
     (["circle"], "0\nnan\n1\n"),
     (["circle"], "0\n-inf\n1\n"),
+    (["rips"], OVERFLOWING_POINTS),
 ])
 def test_cmd_rejects_non_finite_values(tmp_path, capsys, argv, text):
     csv = tmp_path / "in.csv"
     csv.write_text(text)
     assert main([argv[0], str(csv), *argv[1:]]) == 1
-    assert capsys.readouterr().err.startswith("error: line 2: non-finite value")
+    err = "error: distances must be finite\n" if text == OVERFLOWING_POINTS \
+        else "error: line 2: non-finite value"
+    assert capsys.readouterr().err.startswith(err)
 
 
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])

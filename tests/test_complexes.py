@@ -15,7 +15,8 @@ from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
                                 rips_barcode, rips_complex,
                                 sublevel_filtration, torus_grid_complex,
                                 tree_metric_net)
-from persimod.filtered_complex import barcode_of_complex
+from persimod.filtered_complex import (FilteredComplex, InvalidComplexError,
+                                       barcode_of_complex)
 
 INF = math.inf
 S3 = math.sqrt(3)
@@ -349,3 +350,36 @@ def test_circle_matches_sublevel_of_cycle():
         cycle = Triangulation([(i, (i + 1) % n) for i in range(n)])
         assert cell_table(circle_complex(samples)) == \
             cell_table(sublevel_filtration(cycle, dict(enumerate(samples))))
+
+
+# 4294967311 > 2^32: products of two coefficients overflow int64
+@pytest.mark.parametrize("p", [2, 3, 4294967311])
+def test_built_complex_makes_cells_only_when_read(p):
+    c = rips_complex(FiniteMetricSpace(np.ones((12, 12)) - np.eye(12)), 2, p)
+    assert drop_top_degree(barcode_of_complex(c), 2) == \
+        Barcode([Bar(0, 1, 0)] * 11 + [Bar(0, INF, 0)])
+    assert not {"cells", "boundary", "_cells"} & set(vars(c))
+    # equal values break ties by repr(id), as for hand-made complexes
+    assert [cell.id for cell in c.cells_of_degree(1)][:4] == [(0, 1), (0, 10), (0, 11), (0, 2)]
+    assert c.boundary == {
+        cell.id: {cell.id[:j] + cell.id[j + 1:]: 1 if j % 2 == 0 else p - 1
+                  for j in range(len(cell.id))} if len(cell.id) > 1 else {}
+        for cell in c.cells}
+
+
+def test_built_complex_checks_its_arrays():
+    def value(k, facet_values):
+        return np.array([0.0, 5.0]) if k == 0 else np.array([1.0])
+
+    with pytest.raises(InvalidComplexError, match=r"filtration increases along boundary of \(0, 1\)"):
+        FilteredComplex._of_simplices(range(2), [np.array([[0], [1]]), np.array([[0, 1]])],
+                                      value, 2)
+
+
+def test_entry_values_keep_the_zero_sign_of_python_max():
+    # on a -0.0/0.0 tie Python's max keeps the first value it was given
+    circle = circle_complex([-0.0, 0.0, -0.0])
+    assert {cell.id: repr(cell.value) for cell in circle.cells_of_degree(1)} == \
+        {(0, 1): "-0.0", (1, 2): "0.0", (0, 2): "-0.0"}
+    rips = rips_complex(FiniteMetricSpace(np.array([[0.0, -0.0], [-0.0, 0.0]])), 1)
+    assert [repr(cell.value) for cell in rips.cells_of_degree(1)] == ["0.0"]

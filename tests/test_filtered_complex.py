@@ -188,11 +188,10 @@ def slice_bases_by_rank(c, degree):
     """Reference: homology_slice_bases as it was before one elimination per
     level replaced the per-cycle rank test."""
     p = c.p
-    cells_k = c._degree_cells.get(degree, [])
-    cells_km1 = c._degree_cells.get(degree - 1, [])
-    cells_kp1 = c._degree_cells.get(degree + 1, [])
-    d_k = _dense(c._degree_columns.get(degree, []), len(cells_km1))
-    d_kp1 = _dense(c._degree_columns.get(degree + 1, []), len(cells_k))
+    cells_k = c.cells_of_degree(degree)
+    cells_km1 = c.cells_of_degree(degree - 1)
+    cells_kp1 = c.cells_of_degree(degree + 1)
+    d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
     out = []
     for level in c.filtration_values():
         sel_k = [i for i, cell in enumerate(cells_k) if cell.value <= level]
