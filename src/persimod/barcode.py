@@ -9,6 +9,7 @@ repetition in the bar list.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,10 +48,6 @@ class Bar:
     def finite(self) -> bool:
         return self.birth > -INF and self.death < INF
 
-    def contains(self, other: "Bar") -> bool:
-        """True iff the interval *other* is a subset of this one."""
-        return self.birth <= other.birth and other.death <= self.death
-
     def shifted(self, delta: float) -> "Bar":
         b = self.birth if self.birth == -INF else self.birth + delta
         d = self.death if self.death == INF else self.death + delta
@@ -76,9 +73,6 @@ class Barcode:
 
     def finite_bars(self) -> list[Bar]:
         return [b for b in self.bars if b.finite]
-
-    def degrees(self) -> list[Optional[int]]:
-        return sorted({b.degree for b in self.bars}, key=lambda d: (d is None, d))
 
     def fully_tagged(self) -> bool:
         return all(b.degree is not None for b in self.bars)
@@ -291,15 +285,10 @@ def _bottleneck_single_pool(b: Barcode, c: Barcode) -> float:
         return INF
     candidates = bottleneck_candidates(b, c)
     cost = _cost_matrix(b.bars, c.bars)
-    lo, hi = 0, len(candidates) - 1
     # Largest candidate is always feasible once ray counts agree.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible_matching_at(b.bars, c.bars, candidates[mid], cost) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return candidates[lo]
+    return candidates[bisect.bisect_left(
+        candidates, True, hi=len(candidates) - 1,
+        key=lambda delta: _feasible_matching_at(b.bars, c.bars, delta, cost) is not None)]
 
 
 def bottleneck_distance(b: Barcode, c: Barcode) -> float:
@@ -435,11 +424,7 @@ def persistent_betti(b: Barcode, window: Bar) -> int:
     """Number of bars containing the window (birth <= w.birth, death >= w.death)."""
     if not window.finite:
         raise ValueError("window must be finite")
-    return _window_count(b, window.birth, window.death)
-
-
-def _window_count(b: Barcode, x: float, y: float) -> int:
-    return sum(1 for bar in b.bars if bar.birth <= x and y <= bar.death)
+    return sum(1 for bar in b.bars if bar.birth <= window.birth and window.death <= bar.death)
 
 
 def infinite_endpoint_spectrum(b: Barcode) -> list[float]:
@@ -513,15 +498,12 @@ def multiplicity_function(b: Barcode, k: int) -> float:
         return INF
     if _mu_feasible(b, k, cands[-1]):
         return cands[-1]
-    # cands[0] is 0.0, the answer when no midpoint is feasible
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _mu_feasible(b, k, (cands[mid - 1] + cands[mid]) / 2):
-            lo = mid
-        else:
-            hi = mid - 1
-    return cands[lo]
+    # walk the midpoints from the top down, so feasibility runs False ...
+    # False True ... True; cands[0] is 0.0, the answer when none is feasible
+    top = len(cands) - 1
+    return cands[top - bisect.bisect_left(
+        range(top, 0, -1), True,
+        key=lambda i: _mu_feasible(b, k, (cands[i - 1] + cands[i]) / 2))]
 
 
 def mu_odd(b: Barcode) -> float:

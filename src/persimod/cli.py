@@ -95,7 +95,7 @@ def _cmd_circle(args) -> int:
 
 def _cmd_torus(args) -> int:
     p = ff.check_characteristic(args.field)
-    grid = parse_grid(_read(args.input), periodic=True, period=args.period)
+    grid = parse_grid(_read(args.input))
     _emit(barcode_of_complex(torus_grid_complex(grid, p)), args)
     return 0
 
@@ -144,9 +144,11 @@ def _cmd_invariants(args) -> int:
 def _cmd_ellipsoid(args) -> int:
     from .symplectic import DegeneratePathError, EllipsoidSpec, \
         ellipsoid_sh_degree, sbm_lower_bound
+    spec = EllipsoidSpec(1.0, args.aspect, args.n)
+    other = None if args.compare is None else EllipsoidSpec(*args.compare, args.n)
     lo, hi, step = args.window
-    if step <= 0 or hi <= lo:
-        raise InputError("window grid must be lo hi step with step > 0")
+    if not all(map(math.isfinite, args.window)) or lo <= 0 or step <= 0 or hi <= lo:
+        raise InputError("window grid must be finite lo hi step with 0 < lo < hi and step > 0")
     print(f"# degrees for E(1, {args.aspect:g}, ..) in complex dimension {args.n}")
     print("# a degree")
     a = lo
@@ -156,11 +158,9 @@ def _cmd_ellipsoid(args) -> int:
         except DegeneratePathError:
             print(f"{a:.6g} spectral")
         a += step
-    if args.compare is not None:
-        r2, n2 = args.compare
-        d = sbm_lower_bound(EllipsoidSpec(1.0, args.aspect, args.n),
-                            EllipsoidSpec(r2, n2, args.n))
-        print(f"# rescaling lower bound vs E({r2:g}, {r2 * n2:g}, ..): {d:.12g}")
+    if other is not None:
+        d = sbm_lower_bound(spec, other)
+        print(f"# rescaling lower bound vs E({other.r:g}, {other.r * other.N:g}, ..): {d:.12g}")
     return 0
 
 
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torus", help="sublevel barcode of a periodic grid")
     p.add_argument("input", help="grid CSV: ny lines of nx values")
-    p.add_argument("--period", type=float, default=2 * math.pi)
     pipeline(p)
     p.set_defaults(fn=_cmd_torus)
 

@@ -102,6 +102,9 @@ class Triangulation:
     realization: str = "abstract"
 
     def __post_init__(self):
+        for s in self.simplices:
+            if len(set(s)) != len(s):
+                raise ValueError(f"simplex {tuple(s)} repeats a vertex")
         have = {tuple(sorted(s)) for s in self.simplices}
         closed = set(have)
         for s in have:
@@ -383,8 +386,7 @@ def parse_distance_matrix(text: str) -> FiniteMetricSpace:
     return FiniteMetricSpace(m)
 
 
-def parse_grid(text: str, periodic: bool = True,
-               period: float = 2 * math.pi) -> GridFunction:
+def parse_grid(text: str) -> GridFunction:
     cloud = parse_point_cloud(text)
     # rows of the file run along y; transpose so values[i, j] = f(x_i, y_j)
-    return GridFunction(cloud.points.T.copy(), periodic=periodic, period=period)
+    return GridFunction(cloud.points.T.copy())

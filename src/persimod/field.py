@@ -1,9 +1,9 @@
 """
 Dense exact linear algebra over a prime field F_p (default p = 2).
 
-Matrices are numpy int64 arrays with entries reduced mod p.  All
-elimination uses a fixed pivot order (first nonzero entry in column
-scan) so reduced bases are reproducible across runs.
+Matrices are numpy int64 arrays with entries reduced mod p, so p must
+be below 2^63.  All elimination uses a fixed pivot order (first nonzero
+entry in column scan) so reduced bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -12,18 +12,34 @@ import numpy as np
 
 DEFAULT_P = 2
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
+# Miller-Rabin with these witnesses decides primality for every p < 3.3e24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(p: int) -> bool:
-    if p in _SMALL_PRIMES:
+    if p in _WITNESSES:
         return True
-    if p < 2:
+    if p < 2 or any(p % q == 0 for q in _WITNESSES):
         return False
-    return all(p % q for q in range(2, int(p ** 0.5) + 1))
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_characteristic(p: int) -> int:
+    if p >= 2 ** 63:
+        raise ValueError(f"field characteristic must be below 2^63 (entries are int64), got {p}")
     if not is_prime(p):
         raise ValueError(f"field characteristic must be prime, got {p}")
     return p
@@ -66,6 +82,9 @@ def row_echelon(m: np.ndarray, p: int = DEFAULT_P):
     normalised to 1, eliminated above and below).
     """
     r = np.mod(np.array(m, dtype=np.int64), p)
+    big = p >= 2 ** 31
+    if big:
+        r = r.astype(object)    # products of entries past 2^62 need Python ints
     n_rows, n_cols = r.shape
     pivot_cols: list[int] = []
     row = 0
@@ -84,7 +103,7 @@ def row_echelon(m: np.ndarray, p: int = DEFAULT_P):
         r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
         pivot_cols.append(col)
         row += 1
-    return r, pivot_cols
+    return (r.astype(np.int64) if big else r), pivot_cols
 
 
 def rank(m: np.ndarray, p: int = DEFAULT_P) -> int:

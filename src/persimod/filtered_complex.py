@@ -183,7 +183,7 @@ class FilteredComplex:
         return sum(len(b.values) for b in self._blocks.values())
 
     def filtration_values(self) -> list[float]:
-        return sorted({c.value for c in self.cells})
+        return sorted({v for b in self._blocks.values() for v in b.values.tolist()})
 
     def cells_of_degree(self, k: int) -> list[Cell]:
         """Cells of degree k in reduction order (value, then id)."""
@@ -429,14 +429,7 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
     # target only gains columns as alpha grows, so feasibility is upward
     # closed; at the largest candidate every target is the whole image
     candidates = sorted({0.0} | {b - a for a in values for b in values if b > a})
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return candidates[lo]
+    return candidates[bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)]
 
 
 def homology_slice_bases(c: FilteredComplex, degree: int):
@@ -576,7 +569,8 @@ def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,
             ker = ff.eye(len(below))
         if ker.shape[1] == 0:
             continue
-        coeffs = np.mod(ker @ np.array([rng.randrange(p) for _ in range(ker.shape[1])]), p)
+        pick = np.array([[rng.randrange(p)] for _ in range(ker.shape[1])])
+        coeffs = ff.matmul(ker, pick, p)[:, 0]
         support = {below[t].id: int(coeffs[t]) for t in range(len(below)) if coeffs[t]}
         base = max((c2.value for c2 in below if c2.id in support), default=0.0)
         cell = Cell(f"c{i}", k, round(base + rng.uniform(0, 3), 3))

@@ -19,19 +19,13 @@ class SizeGuardError(ValueError):
     """Instance too large for exact enumeration."""
 
 
-def _as_pairs(c) -> list[tuple[int, int]]:
-    if isinstance(c, np.ndarray):
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(c))]
-    return [(int(i), int(j)) for i, j in c]
-
-
 def distortion(c, x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     """max |rho(x,x') - r(y,y')| over pairs of the correspondence.
 
-    The correspondence may be a boolean n x m matrix or an iterable of
-    index pairs; it must be surjective onto both sides.
+    The correspondence is an iterable of index pairs; it must be
+    surjective onto both sides.
     """
-    pairs = _as_pairs(c)
+    pairs = [(int(i), int(j)) for i, j in c]
     if {i for i, _ in pairs} != set(range(x.n)) or \
             {j for _, j in pairs} != set(range(y.n)):
         raise ValueError("correspondence must be surjective onto both spaces")
@@ -39,6 +33,37 @@ def distortion(c, x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     for (i, j), (i2, j2) in itertools.combinations_with_replacement(pairs, 2):
         worst = max(worst, abs(float(x.dist[i, i2]) - float(y.dist[j, j2])))
     return worst
+
+
+def _maps(n: int, m: int) -> np.ndarray:
+    """Every map range(n) -> range(m), one per row."""
+    return np.array(list(itertools.product(range(m), repeat=n)), dtype=np.intp)
+
+
+def _min_distortion(x: FiniteMetricSpace, y: FiniteMetricSpace,
+                    f_pairs: tuple[np.ndarray, np.ndarray],
+                    g_pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Half the smallest distortion of a union of one correspondence from
+    each family.  A family is a pair (i, j) of equally shaped arrays whose
+    row r lists the index pairs (i[r, t], j[r, t]) of its r-th member.
+    The enumeration is vectorised per block of the first family."""
+    (pf_i, pf_j), (pg_i, pg_j) = f_pairs, g_pairs
+
+    def self_distortion(pi, pj):
+        return np.abs(x.dist[pi[:, :, None], pi[:, None, :]]
+                      - y.dist[pj[:, :, None], pj[:, None, :]]).max(axis=(1, 2))
+
+    self_f, self_g = self_distortion(pf_i, pf_j), self_distortion(pg_i, pg_j)
+    best = math.inf
+    chunk = max(1, int(4e6 // max(1, pg_i.shape[0] * pf_i.shape[1] * pg_i.shape[1])))
+    for s in range(0, pf_i.shape[0], chunk):
+        # cross terms |rho(i, i') - r(j, j')| between the two members' pairs
+        rho = x.dist[pf_i[s:s + chunk, None, :, None], pg_i[None, :, None, :]]
+        r = y.dist[pf_j[s:s + chunk, None, :, None], pg_j[None, :, None, :]]
+        cross = np.abs(rho - r).max(axis=(2, 3))
+        dis = np.maximum(np.maximum(self_f[s:s + chunk, None], self_g[None, :]), cross)
+        best = min(best, float(dis.min()))
+    return best / 2
 
 
 def gh_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace,
@@ -49,26 +74,13 @@ def gh_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace,
     Restricting the minimum to correspondences of the form
     graph(f) u graph(g)^T is lossless: any surjective correspondence
     contains such a union, and shrinking a correspondence cannot raise
-    the distortion.  The pair enumeration is vectorised per block of f.
+    the distortion.
     """
     if x.n * y.n > size_guard:
         raise SizeGuardError(f"|X|*|Y| = {x.n * y.n} exceeds guard {size_guard}")
-    n, m = x.n, y.n
-    fs = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.intp)
-    gs = np.array(list(itertools.product(range(n), repeat=m)), dtype=np.intp)
-    # self distortions of the two graphs
-    a = np.abs(x.dist[None, :, :] - y.dist[fs[:, :, None], fs[:, None, :]]).max(axis=(1, 2))
-    b = np.abs(x.dist[gs[:, :, None], gs[:, None, :]] - y.dist[None, :, :]).max(axis=(1, 2))
-    # cross terms |rho(i, g(j)) - r(f(i), j)|
-    m1 = y.dist[fs[:, :, None], np.arange(m)[None, None, :]]   # (K, n, m)
-    m2 = x.dist[np.arange(n)[None, :, None], gs[:, None, :]]   # (L, n, m)
-    best = math.inf
-    chunk = max(1, int(4e6 // max(1, gs.shape[0] * n * m)))
-    for s in range(0, fs.shape[0], chunk):
-        cross = np.abs(m2[None, :, :, :] - m1[s:s + chunk, None, :, :]).max(axis=(2, 3))
-        dis = np.maximum(np.maximum(a[s:s + chunk, None], b[None, :]), cross)
-        best = min(best, float(dis.min()))
-    return best / 2
+    fs, gs = _maps(x.n, y.n), _maps(y.n, x.n)
+    return _min_distortion(x, y, (np.broadcast_to(np.arange(x.n), fs.shape), fs),
+                           (gs, np.broadcast_to(np.arange(y.n), gs.shape)))
 
 
 def _check_involution(x: FiniteMetricSpace, a: tuple[int, ...]) -> None:
@@ -99,25 +111,12 @@ def gh_equivariant(x: FiniteMetricSpace, a, y: FiniteMetricSpace, b,
     if x.n * y.n > size_guard:
         raise SizeGuardError(f"|X|*|Y| = {x.n * y.n} exceeds guard {size_guard}")
     n, m = x.n, y.n
-    fs = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.intp)
-    gs = np.array(list(itertools.product(range(n), repeat=m)), dtype=np.intp)
+    fs, gs = _maps(n, m), _maps(m, n)
     av = np.array(a, dtype=np.intp)
     bv = np.array(b, dtype=np.intp)
     # closure pair lists: graph(f) u graph(BfA) on the x side, dually for g
-    pf_i = np.concatenate([np.broadcast_to(np.arange(n), (fs.shape[0], n))] * 2, axis=1)
+    pf_i = np.concatenate([np.broadcast_to(np.arange(n), fs.shape)] * 2, axis=1)
     pf_j = np.concatenate([fs, bv[fs[:, av]]], axis=1)
-    pg_j = np.concatenate([np.broadcast_to(np.arange(m), (gs.shape[0], m))] * 2, axis=1)
+    pg_j = np.concatenate([np.broadcast_to(np.arange(m), gs.shape)] * 2, axis=1)
     pg_i = np.concatenate([gs, av[gs[:, bv]]], axis=1)
-    self_f = np.abs(x.dist[pf_i[:, :, None], pf_i[:, None, :]]
-                    - y.dist[pf_j[:, :, None], pf_j[:, None, :]]).max(axis=(1, 2))
-    self_g = np.abs(x.dist[pg_i[:, :, None], pg_i[:, None, :]]
-                    - y.dist[pg_j[:, :, None], pg_j[:, None, :]]).max(axis=(1, 2))
-    best = math.inf
-    chunk = max(1, int(4e6 // max(1, gs.shape[0] * pf_i.shape[1] * pg_i.shape[1])))
-    for s in range(0, fs.shape[0], chunk):
-        rho = x.dist[pf_i[s:s + chunk, None, :, None], pg_i[None, :, None, :]]
-        r = y.dist[pf_j[s:s + chunk, None, :, None], pg_j[None, :, None, :]]
-        cross = np.abs(rho - r).max(axis=(2, 3))
-        dis = np.maximum(np.maximum(self_f[s:s + chunk, None], self_g[None, :]), cross)
-        best = min(best, float(dis.min()))
-    return best / 2
+    return _min_distortion(x, y, (pf_i, pf_j), (pg_i, pg_j))

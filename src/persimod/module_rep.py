@@ -11,6 +11,7 @@ classes are born at -inf.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,12 +61,6 @@ class ModuleRep:
                 raise ValueError(
                     f"map {i} has shape {m.shape}, expected "
                     f"({self.dims[i + 1]}, {self.dims[i]})")
-
-    def interval(self, i: int) -> tuple[float, float]:
-        """Endpoints of Q_i for 1-based i."""
-        lo = -INF if i == 1 else self.spectrum[i - 2]
-        hi = INF if i == len(self.dims) else self.spectrum[i - 1]
-        return lo, hi
 
     def dim_at_infinity(self) -> int:
         return self.dims[-1]
@@ -127,15 +122,6 @@ def barcode(v: ModuleRep) -> Barcode:
     return Barcode(sorted(bars))
 
 
-def _canonical_bars(b: Barcode) -> list[Bar]:
-    return sorted(b.bars)
-
-
-def _spectrum_of_barcode(b: Barcode, extra: Sequence[float] = ()) -> list[float]:
-    pts = set(b.finite_endpoints()) | set(extra)
-    return sorted(pts)
-
-
 def _slots_for_bars(bars: list[Bar], spectrum: list[float]) -> tuple[list[int], list[dict[int, int]]]:
     """Occupancy of each interval Q_i by each bar.
 
@@ -155,21 +141,22 @@ def _slots_for_bars(bars: list[Bar], spectrum: list[float]) -> tuple[list[int], 
     return dims, slots
 
 
-def _module_from_bars(bars: list[Bar], spectrum: list[float], p: int) -> tuple[ModuleRep, list[dict[int, int]]]:
-    dims, slots = _slots_for_bars(bars, spectrum)
+def _interval_module(spectrum: list[float], dims: list[int],
+                     slots: list[dict[int, int]], p: int) -> ModuleRep:
+    """Direct sum of the interval modules of bars with these dims and
+    slots (as _slots_for_bars gives them)."""
     maps = [ff.zeros(dims[i + 1], dims[i]) for i in range(len(spectrum))]
-    for bi in range(len(bars)):
+    for slot in slots:
         for i in range(1, len(dims)):
-            if i in slots[bi] and i + 1 in slots[bi]:
-                maps[i - 1][slots[bi][i + 1], slots[bi][i]] = 1
-    return ModuleRep(list(spectrum), dims, maps, p), slots
+            if i in slot and i + 1 in slot:
+                maps[i - 1][slot[i + 1], slot[i]] = 1
+    return ModuleRep(list(spectrum), dims, maps, p)
 
 
 def from_barcode(b: Barcode, p: int = ff.DEFAULT_P) -> ModuleRep:
     """Direct sum of interval modules realising the barcode."""
-    bars = _canonical_bars(b)
-    rep, _ = _module_from_bars(bars, _spectrum_of_barcode(b), p)
-    return rep
+    spectrum = b.finite_endpoints()
+    return _interval_module(spectrum, *_slots_for_bars(sorted(b.bars), spectrum), p)
 
 
 def refine_spectra(v: ModuleRep, w: ModuleRep) -> tuple[ModuleRep, ModuleRep]:
@@ -183,25 +170,17 @@ def refine_spectra(v: ModuleRep, w: ModuleRep) -> tuple[ModuleRep, ModuleRep]:
 def refine_to(v: ModuleRep, spectrum: Sequence[float]) -> ModuleRep:
     """Re-express v over a finer spectrum (identities at the new points)."""
     new = sorted(set(spectrum) | set(v.spectrum))
-    endpoints_old = [-INF] + list(v.spectrum) + [INF]
-    # locate each new interval inside the old one containing it
-    dims, maps = [], []
-    old_of_new = []
-    new_endpoints = [-INF] + new + [INF]
-    for i in range(1, len(new) + 2):
-        hi = new_endpoints[i]
-        # interval (new_endpoints[i-1], hi] sits in the old interval whose
-        # right endpoint is the smallest old endpoint >= hi
-        j = next(k for k in range(1, len(endpoints_old) + 1)
-                 if hi <= endpoints_old[k])
-        old_of_new.append(j)
-        dims.append(v.dims[j - 1])
+    # a new interval (lo, hi] sits in the old interval whose right endpoint
+    # is the smallest old endpoint >= hi (0-based: Q_1 is 0)
+    old_of_new = [bisect.bisect_left(v.spectrum, hi) for hi in new + [INF]]
+    dims = [v.dims[j] for j in old_of_new]
+    maps = []
     for i in range(len(new)):
         a, b = old_of_new[i], old_of_new[i + 1]
         if a == b:
             maps.append(ff.eye(dims[i]))
         else:
-            maps.append(v.maps[a - 1].copy())
+            maps.append(v.maps[a].copy())
     return ModuleRep(new, dims, maps, v.p)
 
 
@@ -394,8 +373,10 @@ def _interval_morphism_entry(src: Bar, dst: Bar, lo: float, hi: float) -> int:
                and dst.birth <= lo and hi <= dst.death)
 
 
-def _matched_pair_matrices(src_bars, src_slots, dst_bars, dst_slots,
-                           pairs, spectrum, dims_src, dims_dst):
+def _matched_pair_matrices(src, dst, pairs, spectrum):
+    """Components of the map sending each src bar of a pair to its dst bar
+    by the canonical interval map; src and dst are (bars, dims, slots)."""
+    (src_bars, dims_src, src_slots), (dst_bars, dims_dst, dst_slots) = src, dst
     endpoints = [-INF] + list(spectrum) + [INF]
     comps = [ff.zeros(dims_dst[i], dims_src[i]) for i in range(len(dims_src))]
     for si, di in pairs:
@@ -422,14 +403,7 @@ def _snap_function(values: list[float], tol: float):
     def snap(v: float) -> float:
         if v == INF or v == -INF:
             return v
-        lo, hi = 0, len(reps) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if reps[mid] < v - tol:
-                lo = mid + 1
-            else:
-                hi = mid
-        return reps[lo]
+        return reps[bisect.bisect_left(reps, v - tol, hi=len(reps) - 1)]
 
     return snap
 
@@ -452,7 +426,8 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
     raw = [e for bar in itertools.chain(b.bars, c.bars)
            for e in (bar.birth, bar.death) if math.isfinite(e)]
     scale = max((abs(e) for e in raw), default=1.0) + 2 * abs(delta)
-    snap = _snap_function([e + s for e in raw for s in (0.0, -delta, -2 * delta)],
+    shifts = (0.0, -delta, -2 * delta)
+    snap = _snap_function([e + s for e in raw for s in shifts],
                           snap_tol * max(1.0, scale))
 
     def snapped(bar: Bar, s: float) -> Bar:
@@ -463,43 +438,29 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
                              "pass snap_tol=0 for exactly-representable input")
         return Bar(lo, hi)
 
-    bars_b = [snapped(bar, 0.0) for bar in b.bars]
-    bars_c = [snapped(bar, 0.0) for bar in c.bars]
-    bars_c_d = [snapped(bar, -delta) for bar in c.bars]     # bars of W[delta]
-    bars_b_d = [snapped(bar, -delta) for bar in b.bars]     # bars of V[delta]
-    bars_b_2d = [snapped(bar, -2 * delta) for bar in b.bars]
-    bars_c_2d = [snapped(bar, -2 * delta) for bar in c.bars]
-
-    spectrum = sorted({e for bars in (bars_b, bars_c, bars_b_d, bars_c_d,
-                                      bars_b_2d, bars_c_2d)
-                       for bar in bars
+    # (side, s): the bars of V (side 0) or W (side 1) shifted by -s * delta,
+    # so (1, 1) are the bars of W[delta] and (0, 2) those of V[2 delta]
+    bars = {(side, s): [snapped(bar, shifts[s]) for bar in x.bars]
+            for side, x in enumerate((b, c)) for s in range(3)}
+    spectrum = sorted({e for same in bars.values() for bar in same
                        for e in (bar.birth, bar.death) if math.isfinite(e)})
-    vmod, vslots = _module_from_bars(bars_b, spectrum, p)
-    wdel, wdslots = _module_from_bars(bars_c_d, spectrum, p)
-    wmod, wslots = _module_from_bars(bars_c, spectrum, p)
-    vdel, vdslots = _module_from_bars(bars_b_d, spectrum, p)
-    v2d, v2dslots = _module_from_bars(bars_b_2d, spectrum, p)
-    w2d, w2dslots = _module_from_bars(bars_c_2d, spectrum, p)
+    table = {key: (same, *_slots_for_bars(same, spectrum)) for key, same in bars.items()}
 
-    pairs = m.pairs
-    f = ModuleMorphism(vmod, wdel, _matched_pair_matrices(
-        bars_b, vslots, bars_c_d, wdslots, pairs, spectrum, vmod.dims, wdel.dims))
-    g = ModuleMorphism(wmod, vdel, _matched_pair_matrices(
-        bars_c, wslots, bars_b_d, vdslots, [(j, i) for i, j in pairs],
-        spectrum, wmod.dims, vdel.dims))
+    def module(key) -> ModuleRep:
+        return _interval_module(spectrum, *table[key][1:], p)
+
+    def matrices(src, dst, pairs) -> list[np.ndarray]:
+        return _matched_pair_matrices(table[src], table[dst], pairs, spectrum)
+
+    pairs, flipped = m.pairs, [(j, i) for i, j in m.pairs]
+    f = ModuleMorphism(module((0, 0)), module((1, 1)), matrices((0, 0), (1, 1), pairs))
+    g = ModuleMorphism(module((1, 0)), module((0, 1)), matrices((1, 0), (0, 1), flipped))
     # shifted copies of f and g over the same spectrum
-    g_shift = _matched_pair_matrices(bars_c_d, wdslots, bars_b_2d, v2dslots,
-                                     [(j, i) for i, j in pairs], spectrum,
-                                     wdel.dims, v2d.dims)
-    f_shift = _matched_pair_matrices(bars_b_d, vdslots, bars_c_2d, w2dslots,
-                                     pairs, spectrum, vdel.dims, w2d.dims)
-    phi_v = _matched_pair_matrices(bars_b, vslots, bars_b_2d, v2dslots,
-                                   [(i, i) for i in range(len(bars_b))],
-                                   spectrum, vmod.dims, v2d.dims)
-    phi_w = _matched_pair_matrices(bars_c, wslots, bars_c_2d, w2dslots,
-                                   [(j, j) for j in range(len(bars_c))],
-                                   spectrum, wmod.dims, w2d.dims)
-    for i in range(len(vmod.dims)):
+    g_shift = matrices((1, 1), (0, 2), flipped)
+    f_shift = matrices((0, 1), (1, 2), pairs)
+    phi_v = matrices((0, 0), (0, 2), [(i, i) for i in range(len(b.bars))])
+    phi_w = matrices((1, 0), (1, 2), [(j, j) for j in range(len(c.bars))])
+    for i in range(len(f.components)):
         lhs = ff.matmul(g_shift[i], f.components[i], p)
         if not np.array_equal(lhs, phi_v[i]):
             raise AssertionError("G[delta] o F != 2*delta shift morphism")

@@ -42,6 +42,8 @@ class EllipsoidSpec:
     n: int = 1
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.N)):
+            raise ValueError("capacity and aspect must be finite")
         if self.r <= 0:
             raise ValueError("first capacity must be positive")
         if self.N < 1:

@@ -249,7 +249,43 @@ def test_cmd_ellipsoid(capsys):
     out = capsys.readouterr().out
     assert "0.5 0" in out and "1.5 -2" in out and "2.5 -4" in out
     assert "0.693147" in out   # ln 2 lower bound
-    assert main(["ellipsoid", "--window", "1", "0", "1"]) == 1
+    capsys.readouterr()
+    # every argument is checked before the table starts
+    for argv in (["--window", "1", "0", "1"], ["--aspect", "0"], ["--aspect", "-1"],
+                 ["--aspect", "nan"], ["--aspect", "inf"], ["--n", "0"],
+                 ["--window", "nan", "2", "1"], ["--window", "0.5", "inf", "1"],
+                 ["--window", "0.5", "2", "nan"], ["--window", "-1", "2", "1"],
+                 ["--compare", "0", "2"], ["--compare", "2", "nan"]):
+        assert main(["ellipsoid", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+@pytest.mark.parametrize("simplices, values, bad", [
+    ("a a\nb c\n", "1\n2\n3\n", "('a', 'a')"),
+    ("a a b\n", "1\n2\n", "('a', 'a', 'b')"),
+])
+def test_cmd_sublevel_rejects_repeated_vertices(tmp_path, capsys, p, simplices, values, bad):
+    simp, vals = tmp_path / "s.txt", tmp_path / "v.csv"
+    simp.write_text(simplices)
+    vals.write_text(values)
+    assert main(["sublevel", str(simp), "--values", str(vals), "--field", p]) == 1
+    assert capsys.readouterr().err == f"error: simplex {bad} repeats a vertex\n"
+
+
+def test_cmd_large_characteristics(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    rng = np.random.default_rng(8)
+    csv.write_text("\n".join(f"{x!r},{y!r}" for x, y in rng.random((8, 2)).tolist()))
+    assert main(["rips", str(csv)]) == 0
+    gf2 = capsys.readouterr().out
+    # 2^61 - 1 is prime and its entry products need Python ints
+    assert main(["rips", str(csv), "--field", str(2 ** 61 - 1)]) == 0
+    assert capsys.readouterr().out == gf2
+    # a prime past the int64 entries
+    assert main(["rips", str(csv), "--field", "18446744073709551557"]) == 1
+    assert capsys.readouterr().err.startswith("error: field characteristic must be below 2^63")
 
 
 def test_cmd_rips_single_point(tmp_path, capsys):
@@ -313,7 +349,7 @@ def _run_cli(argv, files):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--out", os.path.join(tmp, "bc.json")]
-                        if argv[0] in ("rips", "torus", "circle") else argv)
+                        if argv[0] in ("rips", "cech", "sublevel", "torus", "circle") else argv)
     assert code in (0, 1), err.getvalue()
     assert code == 0 or err.getvalue().startswith("error: ")
 
@@ -339,6 +375,32 @@ def test_fuzz_cli_torus(text, p):
        st.sampled_from(["2", "3"]))
 def test_fuzz_cli_circle(text, p):
     _run_cli(["circle", "SAMPLES", "--field", p], {"SAMPLES": text})
+
+
+def _sublevel_files(lines):
+    """A simplex file of these lines of vertex names and a values CSV with
+    one row per distinct name."""
+    n = len({v for line in lines for v in line})
+    return st.tuples(st.just("\n".join(map(" ".join, lines))), _numeric_csv(n, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    # names may repeat within a line
+    st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), max_size=5).flatmap(
+        _sublevel_files),
+    st.tuples(_csv, _csv)), st.sampled_from(["2", "3"]))
+def test_fuzz_cli_sublevel(files, p):
+    simplices, values = files
+    _run_cli(["sublevel", "SIMPLICES", "--values", "VALUES", "--field", p],
+             {"SIMPLICES": simplices, "VALUES": values})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_csv, st.tuples(st.integers(1, 5), st.integers(1, 3)).flatmap(
+    lambda shape: _numeric_csv(*shape))), st.integers(-1, 2), st.sampled_from(["2", "3"]))
+def test_fuzz_cli_cech(text, max_dim, p):
+    _run_cli(["cech", "IN", "--max-dim", str(max_dim), "--field", p], {"IN": text})
 
 
 @settings(max_examples=50, deadline=None)

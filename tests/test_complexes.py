@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ def test_sublevel_filtration():
 def test_triangulation_face_closure():
     t = Triangulation([(0, 1, 2)])
     assert (0, 1) in t.simplices and (2,) in t.simplices
+
+
+@pytest.mark.parametrize("simplices, bad", [([("a", "a"), ("b", "c")], "('a', 'a')"),
+                                            ([("a", "a", "b")], "('a', 'a', 'b')")])
+def test_triangulation_rejects_repeated_vertices(simplices, bad):
+    # a repeated vertex once made a degenerate edge that F_2 and F_3 read
+    # differently, or an IndexError in the reduction
+    with pytest.raises(ValueError, match=f"simplex {re.escape(bad)} repeats a vertex"):
+        Triangulation(simplices)
 
 
 def test_circle_complex_cos():

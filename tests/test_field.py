@@ -83,6 +83,9 @@ def test_characteristic_validation():
     with pytest.raises(ValueError):
         ff.check_characteristic(4)
     assert ff.check_characteristic(7) == 7
+    # a prime, but past the int64 entries
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        ff.check_characteristic(18446744073709551557)
 
 
 def row_echelon_by_rows(m, p):
@@ -120,3 +123,58 @@ def test_row_echelon_matches_row_loop(rows, cols, p, density, seed):
     want_r, want_piv = row_echelon_by_rows(m, p)
     assert piv == want_piv
     assert np.array_equal(r, want_r)
+
+
+# characteristics whose entry products pass 2^63: one that int64 products
+# wrap for, and 2^61 - 1, the largest Mersenne prime below the int64 bound
+LARGE_PRIMES = [4294967311, 2 ** 61 - 1]
+
+
+def rank_by_python_ints(rows, p):
+    """Reference rank: Gauss-Jordan on lists of Python ints."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def product_by_python_ints(a, b, p):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_large_characteristic_against_python_ints(p):
+    rng = np.random.default_rng(p % 1000)
+    for _ in range(200):
+        # n x 3 matrices whose third column combines the first two
+        n = int(rng.integers(2, 7))
+        a, b = ([int(x) for x in rng.integers(0, p, n)] for _ in range(2))
+        s, t = (int(x) for x in rng.integers(0, p, 2))
+        rows = [[a[i], b[i], (s * a[i] + t * b[i]) % p] for i in range(n)]
+        m = np.array(rows, dtype=np.int64)
+        assert ff.rank(m, p) == rank_by_python_ints(rows, p) == 2
+        kb = ff.kernel_basis(m, p)
+        assert kb.shape == (3, 1)
+        assert product_by_python_ints(rows, kb.tolist(), p) == [[0]] * n
+        x = ff.solve(m, m[:, 2], p)
+        assert product_by_python_ints(rows, x.reshape(-1, 1).tolist(), p) == m[:, 2:].tolist()
+
+
+def test_is_prime_matches_trial_division():
+    small = [q for q in range(2, 3000) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+    assert [q for q in range(-2, 3000) if ff.is_prime(q)] == small
+    # 3215031751 passes the witnesses 2, 3, 5 and 7; 2^61 + 1 is a multiple of 3
+    for composite in (3215031751, 2 ** 61 + 1, 4294967311 * 4294967291):
+        assert not ff.is_prime(composite)
+    for prime in LARGE_PRIMES + [18446744073709551557]:
+        assert ff.is_prime(prime)

@@ -7,6 +7,7 @@ import pytest
 
 import persimod.field as ff
 from persimod.barcode import Bar, Barcode, boundary_depth
+from persimod.complexes import circle_complex
 from persimod.filtered_complex import (Cell, FilteredComplex, _dense,
                                        InvalidComplexError, barannikov_reduce,
                                        barcode_of_complex,
@@ -260,6 +261,18 @@ def test_reduce_without_basis_keeps_the_pairing(p):
         assert bare.unpaired == full.unpaired
         pairs += sum(len(m) for m in full.pairing.values())
     assert pairs > 0
+
+
+def test_filtration_values_come_from_the_arrays():
+    # the int values of a hand-made complex come back as equal floats
+    c = heart_sphere(a=(3, 1, 2, 3))
+    values = c.filtration_values()
+    assert values == [1, 2, 3] and all(type(v) is float for v in values)
+    assert homology_module(c, 1).spectrum == [1.0, 2.0, 3.0]
+    # a built complex gives them without making its cells
+    built = circle_complex([2, 0, 1, 0])
+    assert built.filtration_values() == [0.0, 1.0, 2.0]
+    assert "_cells" not in vars(built) and "cells" not in vars(built)
 
 
 def test_homology_module_examples():

@@ -30,8 +30,10 @@ def interval_pair_morphism(src_bars, dst_bars, unit_pairs, p=2):
     src_bars, dst_bars = sorted(src_bars), sorted(dst_bars)
     spectrum = sorted({e for b in src_bars + dst_bars
                        for e in (b.birth, b.death) if math.isfinite(e)})
-    v, vslots = MR._module_from_bars(src_bars, spectrum, p)
-    w, wslots = MR._module_from_bars(dst_bars, spectrum, p)
+    (vdims, vslots), (wdims, wslots) = (MR._slots_for_bars(bars, spectrum)
+                                        for bars in (src_bars, dst_bars))
+    v = MR._interval_module(spectrum, vdims, vslots, p)
+    w = MR._interval_module(spectrum, wdims, wslots, p)
     comps = [ff.zeros(dw, dv) for dv, dw in zip(v.dims, w.dims)]
     for sb, db in unit_pairs:
         si, di = src_bars.index(sb), dst_bars.index(db)

@@ -27,7 +27,7 @@ def doubled_module_with_rotation(bars, p=5):
     doubled = Barcode(sorted(bars) * 2)
     v = from_barcode(doubled, p)
     order = sorted(doubled.bars)
-    _, slots = MR._module_from_bars(order, v.spectrum, p)
+    _, slots = MR._slots_for_bars(order, v.spectrum)
     act = [ff.zeros(d, d) for d in v.dims]
     for first in range(0, len(order), 2):
         for i in range(1, len(v.dims) + 1):
