@@ -25,6 +25,9 @@ from .serialize import barcode_to_dict, load_barcode
 from .svg import barcode_to_svg
 
 
+MAX_WINDOW_POINTS = 100_000    # rows of the ellipsoid table
+
+
 class InputError(Exception):
     pass
 
@@ -149,15 +152,19 @@ def _cmd_ellipsoid(args) -> int:
     lo, hi, step = args.window
     if not all(map(math.isfinite, args.window)) or lo <= 0 or step <= 0 or hi <= lo:
         raise InputError("window grid must be finite lo hi step with 0 < lo < hi and step > 0")
+    if lo + step == lo:
+        raise InputError(f"window step {step:g} does not advance from {lo:g}")
+    span = (hi + 1e-12 - lo) / step
+    if not span < MAX_WINDOW_POINTS:
+        raise InputError(f"window grid has more than {MAX_WINDOW_POINTS} points")
     print(f"# degrees for E(1, {args.aspect:g}, ..) in complex dimension {args.n}")
     print("# a degree")
-    a = lo
-    while a <= hi + 1e-12:
+    for i in range(math.floor(span) + 1):
+        a = lo + i * step
         try:
             print(f"{a:.6g} {ellipsoid_sh_degree(a, args.n, args.aspect)}")
         except DegeneratePathError:
             print(f"{a:.6g} spectral")
-        a += step
     if other is not None:
         d = sbm_lower_bound(spec, other)
         print(f"# rescaling lower bound vs E({other.r:g}, {other.r * other.N:g}, ..): {d:.12g}")

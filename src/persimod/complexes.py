@@ -73,10 +73,9 @@ class PointCloud:
 @dataclass
 class GridFunction:
     """Samples of a function on a regular grid; values[i, j] is the value
-    at (i * period / nx, j * period / ny).  periodic means torus."""
+    at (i * period / nx, j * period / ny) of the torus."""
 
     values: np.ndarray
-    periodic: bool = True
     period: float = 2 * math.pi
 
     def __post_init__(self):
@@ -96,10 +95,9 @@ class GridFunction:
 
 @dataclass
 class Triangulation:
-    """Abstract simplicial complex with a geometric-realization tag."""
+    """Abstract simplicial complex, closed under taking faces."""
 
     simplices: list[tuple]
-    realization: str = "abstract"
 
     def __post_init__(self):
         for s in self.simplices:
@@ -279,8 +277,6 @@ def _torus_squares(nx: int, ny: int):
 def torus_grid_complex(g: GridFunction, p: int = ff.DEFAULT_P) -> FilteredComplex:
     """Periodic grid triangulated with the fixed lower-left-to-upper-right
     diagonal; lower-star values."""
-    if not g.periodic:
-        raise ValueError("torus grid must be periodic")
     nx, ny = g.nx, g.ny
     if nx < 4 or ny < 4:
         raise ValueError("grid too small; need at least 4x4")
@@ -305,7 +301,7 @@ def grid_triangulation(g: GridFunction) -> tuple[Triangulation, dict]:
     tris = [tuple(labels[v] for v in t) for corners in ((a, b, d), (a, c, d))
             for t in np.stack(corners, axis=1).tolist()]
     values = {(i, j): float(g.values[i, j]) for i in range(g.nx) for j in range(g.ny)}
-    return Triangulation(tris, realization="torus-grid"), values
+    return Triangulation(tris), values
 
 
 # ---------------------------------------------------------------------------

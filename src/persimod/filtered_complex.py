@@ -397,15 +397,12 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
     values = c.filtration_values()
     if not values:
         return 0.0
-    # all cells in degree-major reduction order, rows offset to match
+    # d of all degrees at once, rows and columns in degree-major reduction order
     degrees = sorted(c._blocks)
     cell_level = np.concatenate([c._blocks[k].values for k in degrees])
-    offset = dict(zip(degrees, np.cumsum([0] + [len(c._blocks[k].values) for k in degrees])))
-    image = ff.zeros(len(cell_level), len(cell_level))
-    for k in degrees:
-        b = c._blocks[k]
-        if b.rows.size:
-            image[offset[k - 1] + b.rows, offset[k] + b.entry_cols()] = b.coeffs
+    image = np.block([[_dense(c, j) if j == i + 1 else
+                       ff.zeros(len(c._blocks[i].values), len(c._blocks[j].values))
+                       for j in degrees] for i in degrees])
 
     # basis of (im d) cap C^lam per level: solve for image vectors supported in C^lam
     boundaries_at = []
@@ -433,8 +430,9 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
 
 
 def homology_slice_bases(c: FilteredComplex, degree: int):
-    """Per filtration level: (cycle-representative basis, boundary basis,
-    selected degree-k cell indices) of H_degree(C^{<=level}).
+    """Per filtration level: (cycle-representative basis, boundary basis)
+    of H_degree(C^{<=level}); the rows are the degree-k cells entered by
+    then, a prefix of the cells in reduction order.
 
     The representatives complete the boundary basis to a basis of the
     cycle space; homology_module and the equivariant machinery both rely
@@ -448,7 +446,7 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
         # values ascend within a degree, so each level selects a prefix
         n_km1, n_k, n_kp1 = (bisect.bisect_right(v, level) for v in values)
         if not n_k:
-            out.append((ff.zeros(0, 0), ff.zeros(0, 0), []))
+            out.append((ff.zeros(0, 0), ff.zeros(0, 0)))
             continue
         cycles = ff.kernel_basis(d_k[:n_km1, :n_k], p)
         bnd = d_kp1[:n_k, :n_kp1]
@@ -456,7 +454,7 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
         # the span of the columns before it
         piv = np.array(ff.row_echelon(np.hstack([bnd, cycles]), p)[1], dtype=int)
         nb = bnd.shape[1]
-        out.append((cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]], list(range(n_k))))
+        out.append((cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]]))
     return out
 
 
@@ -466,75 +464,26 @@ def homology_module(c: FilteredComplex, degree: int) -> ModuleRep:
     return _module_of_slices(c, homology_slice_bases(c, degree))
 
 
-def _module_of_slices(c: FilteredComplex, reps_by_level) -> ModuleRep:
+def _homology_coordinates(reps: np.ndarray, bnd: np.ndarray, cycles: np.ndarray,
+                          p: int) -> np.ndarray:
+    """Coordinates on reps of the homology classes of cycles, which must
+    lie in the span of [bnd | reps]."""
+    if not (reps.shape[1] and cycles.shape[1]):
+        return ff.zeros(reps.shape[1], cycles.shape[1])
+    return ff.solve(np.hstack([bnd, reps]), cycles, p)[bnd.shape[1]:, :]
+
+
+def _module_of_slices(c: FilteredComplex, slices) -> ModuleRep:
     """The homology module in the bases homology_slice_bases chose."""
-    p = c.p
-    levels = c.filtration_values()
-    dims = [0] + [reps.shape[1] for reps, _, _ in reps_by_level]
-    maps = [ff.zeros(dims[1], 0)]
-    for t in range(len(levels) - 1):
-        reps_s, _, sel_s = reps_by_level[t]
-        reps_t, bnd_t, sel_t = reps_by_level[t + 1]
-        m = ff.zeros(dims[t + 2], dims[t + 1])
-        if dims[t + 1] and dims[t + 2]:
-            # the cells of a level are a prefix of those of the next one
-            lift = ff.zeros(len(sel_t), reps_s.shape[1])
-            lift[:len(sel_s)] = reps_s
-            sol = ff.solve(np.hstack([bnd_t, reps_t]), lift, p)
-            m = sol[bnd_t.shape[1]:, :]
-        elif dims[t + 1] and not dims[t + 2]:
-            m = ff.zeros(0, dims[t + 1])
-        maps.append(m)
-    return ModuleRep(list(levels), dims, maps, p)
-
-
-# ---------------------------------------------------------------------------
-# text format: one line per cell `id degree u : id1 id2 ...` (coefficients
-# implicit 1 over F_2, `id:coeff` pairs for odd characteristic)
-
-
-def parse_complex(text: str, p: int = ff.DEFAULT_P) -> FilteredComplex:
-    cells: list[Cell] = []
-    boundary: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, tail = line.partition(":")
-        parts = head.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {ln}: expected `id degree u : faces`")
-        cid, deg_s, u_s = parts
-        try:
-            deg, u = int(deg_s), float(u_s)
-        except ValueError as e:
-            raise ValueError(f"line {ln}: {e}") from None
-        bd = {}
-        for tok in tail.split():
-            if ":" in tok:
-                fid, coeff_s = tok.rsplit(":", 1)
-                try:
-                    bd[fid] = int(coeff_s) % p
-                except ValueError:
-                    raise ValueError(f"line {ln}: bad coefficient in {tok!r}") from None
-            else:
-                bd[tok] = (bd.get(tok, 0) + 1) % p
-        cells.append(Cell(cid, deg, u))
-        boundary[cid] = bd
-    return FilteredComplex(cells, boundary, p)
-
-
-def format_complex(c: FilteredComplex) -> str:
-    lines = []
-    for k in sorted(c._blocks):
-        below = c.cells_of_degree(k - 1)
-        for cell, col in zip(c.cells_of_degree(k), c._blocks[k].columns()):
-            bd = sorted(((below[r].id, v) for r, v in col.items()),
-                        key=lambda t: str(t[0]))
-            # over F_2 every stored coefficient is 1, so it is left implicit
-            faces = " ".join(str(f) if c.p == 2 else f"{f}:{v}" for f, v in bd)
-            lines.append(f"{cell.id} {cell.degree} {cell.value!r} : {faces}".rstrip())
-    return "\n".join(lines) + "\n"
+    maps, prev = [], ff.zeros(0, 0)
+    for reps, bnd in slices:
+        # the cells of a level are a prefix of those of the next one
+        lift = ff.zeros(reps.shape[0], prev.shape[1])
+        lift[:prev.shape[0]] = prev
+        maps.append(_homology_coordinates(reps, bnd, lift, c.p))
+        prev = reps
+    return ModuleRep(c.filtration_values(), [0] + [reps.shape[1] for reps, _ in slices],
+                     maps, c.p)
 
 
 def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,

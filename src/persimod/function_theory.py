@@ -52,8 +52,7 @@ class TrigPolynomial2D:
 
     def on_grid(self, n: int, period: float = 2 * math.pi) -> GridFunction:
         xs = period * np.arange(n) / n
-        return GridFunction(self(xs[:, None], xs[None, :]),
-                            periodic=True, period=period)
+        return GridFunction(self(xs[:, None], xs[None, :]), period=period)
 
 
 def random_trig_polynomial(rng, lam: float, scale: float = 1.0) -> TrigPolynomial2D:
@@ -74,8 +73,6 @@ def random_trig_polynomial(rng, lam: float, scale: float = 1.0) -> TrigPolynomia
 
 def grid_norms(g: GridFunction) -> FunctionNorms:
     """Midpoint-rule uniform and L2 norms plus the 5-point Laplacian."""
-    if not g.periodic:
-        raise ValueError("norms are defined for periodic grids")
     v = g.values
     hx = g.period / g.nx
     hy = g.period / g.ny

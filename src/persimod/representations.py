@@ -9,13 +9,15 @@ of -1, so representations live over an odd characteristic; F_5 works
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import field as ff
 from .barcode import Bar, Barcode, mu_odd
-from .filtered_complex import FilteredComplex, _module_of_slices, homology_slice_bases
+from .filtered_complex import (FilteredComplex, _dense, _homology_coordinates,
+                               _module_of_slices, homology_slice_bases)
 from .module_rep import ModuleRep, _restrict, barcode
 
 DEFAULT_REP_P = 5
@@ -112,27 +114,14 @@ def simplicial_action_map(c: FilteredComplex, vertex_map: dict) -> dict:
     """Signed cell map induced by a vertex permutation on a simplicial
     filtered complex (cells are sorted vertex tuples).
 
-    Reordering the image vertices contributes the permutation sign, which
-    matters over odd characteristic.
+    Reordering the image vertices contributes the permutation sign, the
+    parity of its inversions, which matters over odd characteristic.
     """
-    p = c.p
     out = {}
     for cell in c.cells:
         image = [vertex_map[v] for v in cell.id]
-        order = sorted(range(len(image)), key=lambda t: image[t])
-        sign = 1
-        seen = [False] * len(order)
-        for start in range(len(order)):
-            if seen[start]:
-                continue
-            length, t = 0, start
-            while not seen[t]:
-                seen[t] = True
-                t = order[t]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        out[cell.id] = (tuple(sorted(image)), sign % p)
+        inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+        out[cell.id] = (tuple(sorted(image)), (-1) ** inversions % c.p)
     return out
 
 
@@ -140,50 +129,37 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
                          order: int) -> ModuleRepWithAction:
     """Push a (signed) cell permutation through homology.
 
-    cell_map sends a cell id to (image id, coefficient); plain image ids
-    mean coefficient 1.  The map must be a filtration-preserving chain
+    cell_map sends every cell id to (image id, coefficient); plain image
+    ids mean coefficient 1.  The map must be a filtration-preserving chain
     map; its action on each homology slice is computed in the same bases
     as homology_module, so the result pairs with that module.
     """
     p = c.p
-    norm = {}
-    for k, v in cell_map.items():
-        norm[k] = v if isinstance(v, tuple) else (v, 1)
-    cells = {k: c.cells_of_degree(k) for k in c._blocks}
-    where = {cell.id: (cell, i) for same in cells.values() for i, cell in enumerate(same)}
-    columns = {k: b.columns() for k, b in c._blocks.items()}
-    for cid, (img, coeff) in norm.items():
-        if where[cid][0].degree != where[img][0].degree:
+    where = {cell.id: (cell, i) for k in c._blocks for i, cell in enumerate(c.cells_of_degree(k))}
+    act = {k: ff.zeros(len(b.values), len(b.values)) for k, b in c._blocks.items()}
+    for cid, v in cell_map.items():
+        img, coeff = v if isinstance(v, tuple) else (v, 1)
+        (cell, i), (target, j) = where[cid], where[img]
+        if cell.degree != target.degree:
             raise ValueError("cell map must preserve degree")
-        if where[cid][0].value != where[img][0].value:
+        if cell.value != target.value:
             raise ValueError("cell map must preserve the filtration")
-    # chain map check: d(T e) = T(d e), on the boundary columns
-    for cid, (img, coeff) in norm.items():
-        (cell, i), j = where[cid], where[img][1]
-        col, faces = columns[cell.degree], cells.get(cell.degree - 1)
-        diff = {r: coeff * v for r, v in col[j].items()}
-        for r, v in col[i].items():
-            fi, fc = norm[faces[r].id]
-            row = where[fi][1]
-            diff[row] = diff.get(row, 0) - v * fc
-        if any(x % p for x in diff.values()):
-            raise EquivarianceError(f"cell map is not a chain map at {cid}")
-
-    slices = homology_slice_bases(c, degree)
-    cells_k = cells.get(degree, [])
-    perm = ff.zeros(len(cells_k), len(cells_k))
-    for i, cell in enumerate(cells_k):
-        img, coeff = norm[cell.id]
-        perm[where[img][1], i] = coeff % p
+        act[cell.degree][j, i] = coeff % p
+    if len(cell_map) < len(where):
+        raise KeyError(next(cid for cid in where if cid not in cell_map))
+    # chain map check: d_k T_k = T_{k-1} d_k
+    for k in (k for k in act if k - 1 in act):
+        d = _dense(c, k)
+        bad = (ff.matmul(d, act[k], p) != ff.matmul(act[k - 1], d, p)).any(axis=0)
+        if bad.any():
+            raise EquivarianceError(
+                f"cell map is not a chain map at {c.cells_of_degree(k)[bad.argmax()].id}")
 
     # express the action in the exact homology bases of homology_module
+    slices = homology_slice_bases(c, degree)
+    t = act.get(degree, ff.zeros(0, 0))
     action = [ff.zeros(0, 0)]
-    for reps, bnd, sel in slices:
-        if reps.shape[1] == 0:
-            action.append(ff.zeros(0, 0))
-            continue
-        sub_perm = perm[np.ix_(sel, sel)]
-        mapped = ff.matmul(sub_perm, reps, p)
-        sol = ff.solve(np.hstack([bnd, reps]), mapped, p)
-        action.append(sol[bnd.shape[1]:, :])
+    for reps, bnd in slices:
+        n = reps.shape[0]
+        action.append(_homology_coordinates(reps, bnd, ff.matmul(t[:n, :n], reps, p), p))
     return ModuleRepWithAction(_module_of_slices(c, slices), order, action)

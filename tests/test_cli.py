@@ -255,7 +255,8 @@ def test_cmd_ellipsoid(capsys):
                  ["--aspect", "nan"], ["--aspect", "inf"], ["--n", "0"],
                  ["--window", "nan", "2", "1"], ["--window", "0.5", "inf", "1"],
                  ["--window", "0.5", "2", "nan"], ["--window", "-1", "2", "1"],
-                 ["--compare", "0", "2"], ["--compare", "2", "nan"]):
+                 ["--compare", "0", "2"], ["--compare", "2", "nan"],
+                 ["--window", "1e17", "2e17", "1"], ["--window", "1", "1e300", "1e-300"]):
         assert main(["ellipsoid", *argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), argv

@@ -210,8 +210,6 @@ def test_torus_grid_shift_equivariance():
 def test_torus_grid_guards():
     with pytest.raises(ValueError):
         torus_grid_complex(GridFunction(np.zeros((3, 8))))
-    with pytest.raises(ValueError):
-        torus_grid_complex(GridFunction(np.zeros((8, 8)), periodic=False))
 
 
 def test_torus_sin_structure():

@@ -32,11 +32,6 @@ def test_grid_norms_zero_and_sin():
     assert abs(norms.gradient_sup - 1) < 1e-2
 
 
-def test_grid_norms_rejects_nonperiodic():
-    with pytest.raises(ValueError):
-        grid_norms(GridFunction(np.zeros((8, 8)), periodic=False))
-
-
 def test_laplacian_eigen_bound():
     rng = random.Random(3)
     for _ in range(6):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -134,6 +135,27 @@ def test_action_from_cell_map_rejects_non_chain_maps():
         action_from_cell_map(teeth, bad, degree=0, order=2)
 
 
+def test_action_from_cell_map_rejects_broken_maps():
+    teeth = FilteredComplex(
+        [Cell("x", 0, 1.0), Cell("y", 0, 1.0), Cell("z", 0, 1.5), Cell("s", 1, 2.0),
+         Cell("N", 2, 4.0)],
+        {"x": {}, "y": {}, "z": {}, "s": {"x": 1, "y": 4}, "N": {}}, p=5)
+    good = {"x": ("y", 1), "y": ("x", 1), "z": "z", "s": ("s", 4), "N": ("N", 1)}
+    assert verify_representation(action_from_cell_map(teeth, good, degree=0, order=2))
+    for cell in good:    # a missing cell never becomes a zero column
+        omitted = {k: v for k, v in good.items() if k != cell}
+        with pytest.raises(KeyError):
+            action_from_cell_map(teeth, omitted, degree=0, order=2)
+    for broken, error in [({**good, "w": ("x", 1)}, KeyError),      # unknown cell
+                          ({**good, "x": ("w", 1)}, KeyError),      # unknown image
+                          ({**good, "x": ("s", 1)}, ValueError),    # changes degree
+                          ({**good, "x": ("z", 1)}, ValueError),    # changes value
+                          ({**good, "x": ("y", 2)}, EquivarianceError)]:
+        with pytest.raises(error) as info:
+            action_from_cell_map(teeth, broken, degree=0, order=2)
+        assert info.type is error    # EquivarianceError is also a ValueError
+
+
 def test_simplicial_action_signs():
     pts = [[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [0.0, 1.0]]
     c = rips_complex(FiniteMetricSpace.from_points(pts), max_dim=1, p=5)
@@ -141,6 +163,36 @@ def test_simplicial_action_signs():
     # the long diagonal (0, 2) maps to itself with a flip
     assert cmap[(0, 2)] == ((0, 2), 4)
     assert cmap[(0,)] == ((2,), 1)
+
+
+def cycle_walk_sign(image):
+    """Sign of the permutation that sorts image, by its even-length cycles."""
+    order = sorted(range(len(image)), key=lambda t: image[t])
+    sign, seen = 1, [False] * len(order)
+    for start in range(len(order)):
+        length, t = 0, start
+        while not seen[t]:
+            seen[t] = True
+            t = order[t]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_simplicial_action_sign_is_the_permutation_sign(p):
+    for n in range(1, 6):
+        # every pair at distance 1: all subsets are cells, every permutation a symmetry
+        c = rips_complex(FiniteMetricSpace(1.0 - np.eye(n)), max_dim=n - 1, p=p)
+        for perm in itertools.permutations(range(n)):
+            cmap = simplicial_action_map(c, dict(enumerate(perm)))
+            for cell in c.cells:
+                image = [perm[v] for v in cell.id]
+                assert cmap[cell.id] == (tuple(sorted(image)), cycle_walk_sign(image) % p)
+            if n <= 4:    # and a chain map, so the action is defined
+                r = action_from_cell_map(c, cmap, degree=0, order=math.factorial(n))
+                assert verify_representation(r)
 
 
 def test_even_multiplicity_check():
