@@ -18,6 +18,7 @@ from .barcode import Bar, Barcode
 from .filtered_complex import FilteredComplex, barcode_of_complex
 
 INF = math.inf
+MAX_NERVE_CELLS = 5_000_000    # Rips on 300 points to dimension 2 has 4,500,250
 
 
 @dataclass
@@ -125,6 +126,10 @@ def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
     its facets' values and own(rows of subsets); vertices enter at 0."""
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
+    count = sum(math.comb(n, k + 1) for k in range(max_dim + 1))
+    if count > MAX_NERVE_CELLS:
+        raise ValueError(f"{count} simplices on {n} points up to dimension {max_dim} "
+                         f"exceed the limit of {MAX_NERVE_CELLS}")
     subsets = [np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
                            dtype=np.int64).reshape(-1, k) for k in range(1, max_dim + 2)]
 

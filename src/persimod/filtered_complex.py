@@ -7,6 +7,14 @@ the boundary operator is strictly upper triangular.  The reduction works
 degree by degree and produces a graded Jordan pairing: within degree k a
 set of paired cells mapping injectively onto degree k-1 cells, the rest
 closing cycles.
+
+The pairing is unique, so two routes find it.  With a change of basis
+(barannikov_reduce(c, want_basis=True): homology_module's consumers, the
+representations code) the boundary is reduced degree by degree.  Without
+one (barcode_of_complex) degree 0 pairs by union-find and each higher
+degree by reducing the coboundary from low degree to high, skipping the
+columns that already paired one degree down (persistent cohomology with
+clearing); the top degree is never reduced.
 """
 
 from __future__ import annotations
@@ -295,12 +303,15 @@ def _subtract(col: dict[int, int], other: dict[int, int], lam: int, p: int) -> N
             col.pop(r, None)
 
 
-def _reduce(block: _Block, p: int, want_basis: bool):
+def _reduce(block: _Block, p: int, want_basis: bool, cleared=frozenset()):
     """Low-driven column reduction over F_p: each column in turn subtracts
     earlier reduced columns until its lowest row is new, and pairs with
     that row, or it vanishes.  Without want_basis over F_2 columns are
-    bitmasks and each subtraction is one xor; otherwise {row: coeff}
-    columns are reduced in place.
+    sets of rows and each subtraction is one symmetric difference (sets,
+    not bitmasks: a coboundary's rows range over all cells of the degree
+    above, so a bitmask column would be as long as that degree);
+    otherwise {row: coeff} columns are reduced in place.  The columns in
+    cleared are known to vanish and are skipped.
 
     Returns (pairing, reduced, basis): pairing maps column j to its lowest
     row.  With want_basis, reduced[j] is the reduced column and basis[j]
@@ -311,22 +322,26 @@ def _reduce(block: _Block, p: int, want_basis: bool):
     basis = None
     if p == 2 and not want_basis:
         rows, ptr = block.rows.tolist(), block.indptr.tolist()
-        cols = [sum(map((1).__lshift__, rows[a:b])) for a, b in zip(ptr, ptr[1:])]
-        for j in range(len(cols)):
-            col = cols[j]
+        paired: dict[int, set[int]] = {}
+        for j, (a, b) in enumerate(zip(ptr, ptr[1:])):
+            if j in cleared:
+                continue
+            col = set(rows[a:b])
             while col:
-                low = col.bit_length() - 1
+                low = max(col)
                 i = low_to_col.get(low)
                 if i is None:
                     low_to_col[low] = j
+                    paired[j] = col
                     break
-                col ^= cols[i]
-            cols[j] = col
+                col ^= paired[i]
     else:
         cols = block.columns()
         if want_basis:
             basis = [{j: 1} for j in range(len(cols))]
         for j, col in enumerate(cols):
+            if j in cleared:
+                continue
             while col:
                 low = max(col)
                 i = low_to_col.get(low)
@@ -341,32 +356,85 @@ def _reduce(block: _Block, p: int, want_basis: bool):
     return pairing, (cols if want_basis else None), basis
 
 
+def _coboundary(c: FilteredComplex, k: int) -> _Block:
+    """d_{k+1} anti-transposed: column t is the coboundary of degree-k cell
+    n_k-1-t, and row r is degree-(k+1) cell n_{k+1}-1-r."""
+    below, b = c._block(k), c._block(k + 1)
+    t = len(below.values) - 1 - b.rows
+    order = np.argsort(t, kind="stable")
+    return _Block(below.values[::-1],
+                  np.concatenate(([0], np.cumsum(np.bincount(t, minlength=len(below.values))))),
+                  (len(b.values) - 1 - b.entry_cols())[order], b.coeffs[order])
+
+
+def _union_find_pairing(edges: _Block, n_vertices: int, p: int) -> Optional[dict[int, int]]:
+    """The degree-1 pairing by the elder rule: an edge joining two
+    components pairs with the younger root (the larger index), which then
+    hangs under the older one.  None unless every edge column is a(u - v):
+    two entries whose coefficients sum to 0 mod p."""
+    counts = edges.indptr[1:] - edges.indptr[:-1]
+    if (counts != 2).any() or (edges.coeffs[::2] != p - edges.coeffs[1::2]).any():
+        return None
+    parent = list(range(n_vertices))
+    pairs = {}
+    for j, (u, v) in enumerate(zip(edges.rows[::2].tolist(), edges.rows[1::2].tolist())):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u < v:
+                u, v = v, u
+            parent[u] = v
+            pairs[j] = u
+    return pairs
+
+
+def _cohomology_pairing(c: FilteredComplex) -> dict[int, dict[int, int]]:
+    """The pairing of the boundary reduction, found without reducing it:
+    degree 0 by union-find where it applies, then the coboundary of each
+    degree below the top with clearing."""
+    sizes = [len(c._block(k).values) for k in range(c.max_degree + 2)]
+    pairing = {k: {} for k in range(c.max_degree + 1)}
+    for k in range(c.max_degree):
+        if k == 0:
+            found = _union_find_pairing(c._block(1), sizes[0], c.p)
+            if found is not None:
+                pairing[1] = found
+                continue
+        # a degree-k cell paired with a degree-(k-1) cell has a vanishing coboundary column
+        cleared = {sizes[k] - 1 - j for j in pairing[k]}
+        pivots = _reduce(_coboundary(c, k), c.p, False, cleared)[0]
+        pairing[k + 1] = {sizes[k + 1] - 1 - r: sizes[k] - 1 - t for t, r in pivots.items()}
+    return pairing
+
+
 def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPairing:
     """Triangular change of basis bringing the filtered boundary to
     Jordan form, degree by degree.
 
     The recursion subtracts the already-paired part of each new column
     and pairs what survives with its maximal-index term; that is exactly
-    the low-driven column reduction of _reduce.
+    the low-driven column reduction of _reduce, which want_basis runs on
+    the boundary.  Without want_basis only the pairing is asked for, and
+    _cohomology_pairing finds the same (unique) pairing with less work.
     """
-    values: dict[int, list[float]] = {}
-    pairing: dict[int, dict[int, int]] = {}
-    basis: Optional[dict[int, list[dict[int, int]]]] = {} if want_basis else None
-    for k in range(c.max_degree + 1):
-        block = c._block(k)
-        values[k] = block.values.tolist()
-        pairing[k], reduced, basis_k = _reduce(block, c.p, want_basis)
-        if want_basis:
-            basis[k] = basis_k
+    values = {k: c._block(k).values.tolist() for k in range(c.max_degree + 1)}
+    basis: Optional[dict[int, list[dict[int, int]]]] = None
+    if want_basis:
+        pairing, basis = {}, {}
+        for k in values:
+            pairing[k], reduced, basis[k] = _reduce(c._block(k), c.p, True)
             # replacement step: the partner's basis vector becomes d(f_j)
             for j, low in pairing[k].items():
                 basis[k - 1][low] = reduced[j]
+    else:
+        pairing = _cohomology_pairing(c)
 
     unpaired: dict[int, list[int]] = {}
     for k in values:
-        hit_from_above = set(pairing.get(k + 1, {}).values())
-        unpaired[k] = [j for j in range(len(values[k]))
-                       if j not in pairing[k] and j not in hit_from_above]
+        hit = pairing[k].keys() | pairing.get(k + 1, {}).values()
+        unpaired[k] = list(itertools.filterfalse(hit.__contains__, range(len(values[k]))))
     return JordanPairing(_Ids(c), values, pairing, unpaired, basis)
 
 
@@ -386,7 +454,7 @@ def barcode_of_complex(c: FilteredComplex) -> Barcode:
                 bars.append(Bar(a, b, degree=k - 1))
         for j in jp.unpaired[k]:
             bars.append(Bar(jp.values[k][j], INF, degree=k))
-    return Barcode(sorted(bars))
+    return Barcode(sorted(bars, key=Bar._key))
 
 
 def boundary_depth_usher(c: FilteredComplex) -> float:

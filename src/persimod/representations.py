@@ -129,16 +129,18 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
                          order: int) -> ModuleRepWithAction:
     """Push a (signed) cell permutation through homology.
 
-    cell_map sends every cell id to (image id, coefficient); plain image
-    ids mean coefficient 1.  The map must be a filtration-preserving chain
-    map; its action on each homology slice is computed in the same bases
-    as homology_module, so the result pairs with that module.
+    cell_map sends every cell id to (image id, coefficient) or to a plain
+    image id, meaning coefficient 1; a value that is itself a cell id is
+    read as a plain image, so vertex-tuple ids of built complexes work in
+    both forms.  The map must be a filtration-preserving chain map; its
+    action on each homology slice is computed in the same bases as
+    homology_module, so the result pairs with that module.
     """
     p = c.p
     where = {cell.id: (cell, i) for k in c._blocks for i, cell in enumerate(c.cells_of_degree(k))}
     act = {k: ff.zeros(len(b.values), len(b.values)) for k, b in c._blocks.items()}
     for cid, v in cell_map.items():
-        img, coeff = v if isinstance(v, tuple) else (v, 1)
+        img, coeff = v if isinstance(v, tuple) and v not in where else (v, 1)
         (cell, i), (target, j) = where[cid], where[img]
         if cell.degree != target.degree:
             raise ValueError("cell map must preserve degree")

@@ -289,6 +289,18 @@ def test_cmd_large_characteristics(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: field characteristic must be below 2^63")
 
 
+@pytest.mark.parametrize("command", ["rips", "cech"])
+def test_cmd_refuses_too_many_simplices(tmp_path, capsys, command):
+    csv = tmp_path / "pts.csv"
+    rng = np.random.default_rng(9)
+    csv.write_text("\n".join(f"{x!r},{y!r}" for x, y in rng.random((400, 2)).tolist()))
+    # C(400, 1) + ... + C(400, 4) cells: refused before any is enumerated
+    assert main([command, str(csv), "--max-dim", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: 1061406900 simplices on 400 points up to dimension 3 "
+        "exceed the limit of 5000000\n")
+
+
 def test_cmd_rips_single_point(tmp_path, capsys):
     csv = tmp_path / "one.csv"
     csv.write_text("0.0,0.0\n")

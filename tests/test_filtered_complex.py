@@ -7,7 +7,9 @@ import pytest
 
 import persimod.field as ff
 from persimod.barcode import Bar, Barcode, boundary_depth
-from persimod.complexes import circle_complex
+from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
+                                Triangulation, cech_complex, circle_complex,
+                                rips_complex, sublevel_filtration, torus_grid_complex)
 from persimod.filtered_complex import (Cell, FilteredComplex, _dense,
                                        InvalidComplexError, barannikov_reduce,
                                        barcode_of_complex,
@@ -247,20 +249,76 @@ def test_cell_list_order_does_not_matter(p):
             assert rep_barcode(homology_module(shuffled, k)) == rep_barcode(homology_module(c, k))
 
 
-@pytest.mark.parametrize("p", [2, 5])
+def assert_same_pairing(c):
+    """The pairing route (union-find and coboundaries with clearing) finds
+    the pairing of the homology reduction."""
+    full = barannikov_reduce(c, want_basis=True)
+    bare = barannikov_reduce(c, want_basis=False)
+    assert bare.basis is None
+    assert bare.order == full.order
+    assert bare.values == full.values
+    assert bare.pairing == full.pairing
+    assert bare.unpaired == full.unpaired
+    return full
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduce_without_basis_keeps_the_pairing(p):
     rng = random.Random(50 + p)
     pairs = 0
-    for _ in range(30):
+    for _ in range(125):
         c = random_filtered_complex(rng, max_cells=25, max_degree=3, p=p)
-        full = barannikov_reduce(c, want_basis=True)
-        bare = barannikov_reduce(c, want_basis=False)
-        assert bare.basis is None
-        assert bare.order == full.order
-        assert bare.pairing == full.pairing
-        assert bare.unpaired == full.unpaired
-        pairs += sum(len(m) for m in full.pairing.values())
-    assert pairs > 0
+        full = assert_same_pairing(c)
+        pairs += sum(len(m) for k, m in full.pairing.items() if k > 1)
+    assert pairs > 0    # pairs above degree 1 come from the coboundaries
+
+
+def builder_complexes(rng, p):
+    pts = rng.normal(size=(9, 2))
+    yield rips_complex(FiniteMetricSpace.from_points(pts), 3, p)
+    yield cech_complex(PointCloud(pts[:7]), 2, p)
+    yield torus_grid_complex(GridFunction(rng.normal(size=(5, 6))), p)
+    yield circle_complex(rng.normal(size=8).tolist(), p)
+    tri = Triangulation([(0, 1, 2), (0, 2, 3), (0, 3, 4), (1, 2, 5), (4, 5), (6,)])
+    yield sublevel_filtration(tri, {v: float(x) for v, x in enumerate(rng.normal(size=7))}, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_builders_keep_the_pairing_without_basis(p):
+    rng = np.random.default_rng(60 + p)
+    for _ in range(6):
+        for c in builder_complexes(rng, p):
+            full = assert_same_pairing(c)
+            assert full.pairing[1]    # some component merges
+
+
+def test_union_find_falls_back_on_other_edge_columns():
+    vertices = [Cell(v, 0, x) for v, x in zip("uvw", (0, 1, 2))]
+    # over F_3 the edges u + v are not of the form a(u - v): the third pairs with u,
+    # where the elder rule would close a cycle
+    plus = FilteredComplex(vertices + [Cell("uv", 1, 3), Cell("vw", 1, 4), Cell("uw", 1, 5)],
+                           {"uv": {"u": 1, "v": 1}, "vw": {"v": 1, "w": 1},
+                            "uw": {"u": 1, "w": 1}}, p=3)
+    assert assert_same_pairing(plus).pairing[1] == {0: 1, 1: 2, 2: 0}
+    assert barcode_of_complex(plus) == Barcode([Bar(1, 3, 0), Bar(2, 4, 0), Bar(0, 5, 0)])
+    # an edge with a single vertex kills it
+    single = FilteredComplex(vertices + [Cell("e", 1, 3), Cell("uv", 1, 4)],
+                             {"e": {"w": 2}, "uv": {"u": 1, "v": 2}}, p=3)
+    assert assert_same_pairing(single).pairing[1] == {0: 2, 1: 1}
+    assert barcode_of_complex(single) == Barcode([Bar(0, INF, 0), Bar(1, 4, 0), Bar(2, 3, 0)])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pairing_without_basis_on_degenerate_complexes(p):
+    empty = FilteredComplex([], {}, p)
+    assert assert_same_pairing(empty).pairing == {}
+    assert barcode_of_complex(empty) == Barcode([])
+    # cells of degree 2 with no degree-1 cells below them bound nothing
+    gap = FilteredComplex([Cell("v", 0, 0), Cell("w", 0, 1), Cell("s", 2, 2), Cell("t", 2, 3)],
+                          {"s": {}, "t": {}}, p)
+    assert assert_same_pairing(gap).pairing == {0: {}, 1: {}, 2: {}}
+    assert barcode_of_complex(gap) == Barcode([Bar(0, INF, 0), Bar(1, INF, 0),
+                                               Bar(2, INF, 2), Bar(3, INF, 2)])
 
 
 def test_filtration_values_come_from_the_arrays():

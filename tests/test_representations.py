@@ -165,6 +165,25 @@ def test_simplicial_action_signs():
     assert cmap[(0,)] == ((2,), 1)
 
 
+def test_action_from_cell_map_reads_plain_vertex_tuple_images():
+    n, p = 6, 5
+    # the hexagon's graph distances, exact, so the rotation keeps every value
+    steps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    c = rips_complex(FiniteMetricSpace(np.minimum(steps, n - steps)), max_dim=2, p=p)
+    signed = simplicial_action_map(c, {v: (v + 1) % n for v in range(n)})
+    # plain image ids wherever the coefficient is 1: vertex tuples such as (1,)
+    plain = {cid: img if coeff == 1 else (img, coeff) for cid, (img, coeff) in signed.items()}
+    assert plain[(0,)] == (1,) and plain[(0, 5)] == ((0, 1), p - 1)
+    for degree in (0, 1):
+        a = action_from_cell_map(c, signed, degree=degree, order=n)
+        b = action_from_cell_map(c, plain, degree=degree, order=n)
+        assert verify_representation(a) and a.rep.dims == b.rep.dims
+        assert all(np.array_equal(x, y) for x, y in zip(a.action, b.action))
+        # the rotation permutes the vertex classes; the hexagon's loop it fixes
+        moved = any(not np.array_equal(rho, ff.eye(rho.shape[0])) for rho in a.action)
+        assert moved == (degree == 0)
+
+
 def cycle_walk_sign(image):
     """Sign of the permutation that sorts image, by its even-length cycles."""
     order = sorted(range(len(image)), key=lambda t: image[t])
