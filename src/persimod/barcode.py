@@ -402,7 +402,7 @@ def beta_k(b: Barcode, k: int) -> float:
 
 def ell(b: Barcode, lo: float, hi: float) -> float:
     """Total length of the barcode clipped to [lo, hi]."""
-    if lo > hi:
+    if not lo <= hi:
         raise ValueError("need lo <= hi")
     total = 0.0
     for bar in b.bars:
@@ -415,7 +415,7 @@ def ell(b: Barcode, lo: float, hi: float) -> float:
 
 def nu(b: Barcode, c: float) -> int:
     """Number of finite bars of length > c."""
-    if c < 0:
+    if not c >= 0:
         raise ValueError("threshold must be >= 0")
     return sum(1 for bar in b.finite_bars() if bar.length > c)
 

@@ -172,8 +172,8 @@ def _cmd_ellipsoid(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.slack < 0:
-        raise InputError("slack must be >= 0")
+    if not 0 <= args.slack < math.inf:
+        raise InputError("slack must be finite and >= 0")
     names = list(SCENARIOS) if args.name == "all" else [args.name]
     failed = 0
     for name in names:

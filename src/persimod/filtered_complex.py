@@ -1,20 +1,14 @@
 """
-Filtered chain complexes with a preferred basis and their barcodes via
-triangular (Barannikov-style) reduction.
+Filtered chain complexes with a preferred basis and their barcodes.
 
 Cells are sorted degree-major, then by filtration value, then by id, so
-the boundary operator is strictly upper triangular.  The reduction works
-degree by degree and produces a graded Jordan pairing: within degree k a
-set of paired cells mapping injectively onto degree k-1 cells, the rest
-closing cycles.
-
-The pairing is unique, so two routes find it.  With a change of basis
-(barannikov_reduce(c, want_basis=True): homology_module's consumers, the
-representations code) the boundary is reduced degree by degree.  Without
-one (barcode_of_complex) degree 0 pairs by union-find and each higher
-degree by reducing the coboundary from low degree to high, skipping the
-columns that already paired one degree down (persistent cohomology with
-clearing); the top degree is never reduced.
+the boundary operator is strictly upper triangular.  Its graded Jordan
+pairing (within degree k, paired cells mapping injectively onto degree
+k-1 cells, the rest closing cycles) is unique, and one route finds it:
+degree 0 pairs by union-find, and each higher degree by reducing the
+coboundary from low degree to high, skipping the columns that already
+paired one degree down (persistent cohomology with clearing); the top
+degree is never reduced.
 """
 
 from __future__ import annotations
@@ -269,20 +263,18 @@ class _Ids(Mapping):
 
 @dataclass
 class JordanPairing:
-    """Output of the triangular reduction.
+    """The graded Jordan pairing of a filtered complex.
 
     order[k] lists the degree-k cell ids in reduction order; pairing[k]
     maps the index of a paired degree-k cell to the index of its partner
     in degree (k-1); unpaired[k] are the cycle-closing indices that are
-    not hit from above.  basis[k][j], when tracked, gives the triangular
-    change of basis as {index: coeff} over the original degree-k cells.
+    not hit from above.
     """
 
     order: Mapping[int, list]
     values: dict[int, list[float]]
     pairing: dict[int, dict[int, int]]
     unpaired: dict[int, list[int]]
-    basis: Optional[dict[int, list[dict[int, int]]]] = None
 
 
 def _dense(c: FilteredComplex, k: int) -> np.ndarray:
@@ -303,57 +295,37 @@ def _subtract(col: dict[int, int], other: dict[int, int], lam: int, p: int) -> N
             col.pop(r, None)
 
 
-def _reduce(block: _Block, p: int, want_basis: bool, cleared=frozenset()):
+def _reduce(block: _Block, p: int, cleared=frozenset()) -> dict[int, int]:
     """Low-driven column reduction over F_p: each column in turn subtracts
-    earlier reduced columns until its lowest row is new, and pairs with
-    that row, or it vanishes.  Without want_basis over F_2 columns are
-    sets of rows and each subtraction is one symmetric difference (sets,
-    not bitmasks: a coboundary's rows range over all cells of the degree
-    above, so a bitmask column would be as long as that degree);
-    otherwise {row: coeff} columns are reduced in place.  The columns in
-    cleared are known to vanish and are skipped.
+    earlier paired columns until its lowest row is new, and pairs with
+    that row, or it vanishes.  Over F_2 a column is a set of rows and each
+    subtraction one symmetric difference (sets, not bitmasks: a
+    coboundary's rows range over all cells of the degree above, so a
+    bitmask column would be as long as that degree); otherwise it is a
+    {row: coeff} dict.  Only the columns that pair are kept.  The columns
+    in cleared are known to vanish and are skipped.
 
-    Returns (pairing, reduced, basis): pairing maps column j to its lowest
-    row.  With want_basis, reduced[j] is the reduced column and basis[j]
-    the triangular combination of input columns that gives it, both as
-    {index: coeff}; without it both are None.
+    Returns the pairing: column j -> its lowest row.
     """
+    rows, coeffs, ptr = block.rows.tolist(), block.coeffs.tolist(), block.indptr.tolist()
     low_to_col: dict[int, int] = {}
-    basis = None
-    if p == 2 and not want_basis:
-        rows, ptr = block.rows.tolist(), block.indptr.tolist()
-        paired: dict[int, set[int]] = {}
-        for j, (a, b) in enumerate(zip(ptr, ptr[1:])):
-            if j in cleared:
-                continue
-            col = set(rows[a:b])
-            while col:
-                low = max(col)
-                i = low_to_col.get(low)
-                if i is None:
-                    low_to_col[low] = j
-                    paired[j] = col
-                    break
+    paired: dict = {}
+    for j, (a, b) in enumerate(zip(ptr, ptr[1:])):
+        if j in cleared:
+            continue
+        col = set(rows[a:b]) if p == 2 else dict(zip(rows[a:b], coeffs[a:b]))
+        while col:
+            low = max(col)
+            i = low_to_col.get(low)
+            if i is None:
+                low_to_col[low] = j
+                paired[j] = col
+                break
+            if p == 2:
                 col ^= paired[i]
-    else:
-        cols = block.columns()
-        if want_basis:
-            basis = [{j: 1} for j in range(len(cols))]
-        for j, col in enumerate(cols):
-            if j in cleared:
-                continue
-            while col:
-                low = max(col)
-                i = low_to_col.get(low)
-                if i is None:
-                    low_to_col[low] = j
-                    break
-                lam = (col[low] * ff.inv_mod(cols[i][low], p)) % p
-                _subtract(col, cols[i], lam, p)
-                if want_basis:
-                    _subtract(basis[j], basis[i], lam, p)
-    pairing = {j: low for low, j in low_to_col.items()}
-    return pairing, (cols if want_basis else None), basis
+            else:
+                _subtract(col, paired[i], col[low] * ff.inv_mod(paired[i][low], p) % p, p)
+    return {j: low for low, j in low_to_col.items()}
 
 
 def _coboundary(c: FilteredComplex, k: int) -> _Block:
@@ -404,38 +376,23 @@ def _cohomology_pairing(c: FilteredComplex) -> dict[int, dict[int, int]]:
                 continue
         # a degree-k cell paired with a degree-(k-1) cell has a vanishing coboundary column
         cleared = {sizes[k] - 1 - j for j in pairing[k]}
-        pivots = _reduce(_coboundary(c, k), c.p, False, cleared)[0]
+        pivots = _reduce(_coboundary(c, k), c.p, cleared)
         pairing[k + 1] = {sizes[k + 1] - 1 - r: sizes[k] - 1 - t for t, r in pivots.items()}
     return pairing
 
 
-def barannikov_reduce(c: FilteredComplex, want_basis: bool = True) -> JordanPairing:
-    """Triangular change of basis bringing the filtered boundary to
-    Jordan form, degree by degree.
-
-    The recursion subtracts the already-paired part of each new column
-    and pairs what survives with its maximal-index term; that is exactly
-    the low-driven column reduction of _reduce, which want_basis runs on
-    the boundary.  Without want_basis only the pairing is asked for, and
-    _cohomology_pairing finds the same (unique) pairing with less work.
-    """
+def barannikov_reduce(c: FilteredComplex) -> JordanPairing:
+    """The graded Jordan pairing that Barannikov's triangular change of
+    basis brings the filtered boundary to.  No basis is changed or
+    returned: the pairing is unique, so _cohomology_pairing finds it
+    without reducing the boundary."""
     values = {k: c._block(k).values.tolist() for k in range(c.max_degree + 1)}
-    basis: Optional[dict[int, list[dict[int, int]]]] = None
-    if want_basis:
-        pairing, basis = {}, {}
-        for k in values:
-            pairing[k], reduced, basis[k] = _reduce(c._block(k), c.p, True)
-            # replacement step: the partner's basis vector becomes d(f_j)
-            for j, low in pairing[k].items():
-                basis[k - 1][low] = reduced[j]
-    else:
-        pairing = _cohomology_pairing(c)
-
+    pairing = _cohomology_pairing(c)
     unpaired: dict[int, list[int]] = {}
     for k in values:
         hit = pairing[k].keys() | pairing.get(k + 1, {}).values()
         unpaired[k] = list(itertools.filterfalse(hit.__contains__, range(len(values[k]))))
-    return JordanPairing(_Ids(c), values, pairing, unpaired, basis)
+    return JordanPairing(_Ids(c), values, pairing, unpaired)
 
 
 def barcode_of_complex(c: FilteredComplex) -> Barcode:
@@ -444,7 +401,7 @@ def barcode_of_complex(c: FilteredComplex) -> Barcode:
     Pairs with equal filtration values produce no bar (non-essential);
     cycle classes never hit from above become rays.
     """
-    jp = barannikov_reduce(c, want_basis=False)
+    jp = barannikov_reduce(c)
     bars: list[Bar] = []
     for k in sorted(jp.values):
         for j, low in jp.pairing.get(k, {}).items():

@@ -161,6 +161,18 @@ def test_cmd_invariants(tmp_path, capsys):
     assert report["infinite_endpoint_spectrum"] == [0, 3]
 
 
+@pytest.mark.parametrize("flag, err", [
+    (["--ell", "nan", "nan"], "need lo <= hi"), (["--ell", "0", "nan"], "need lo <= hi"),
+    (["--nu", "nan"], "threshold must be >= 0"),
+])
+def test_cmd_invariants_rejects_nan_flags(tmp_path, capsys, flag, err):
+    path = tmp_path / "b.json"
+    dump_barcode(Barcode([Bar(0, 1, 0)]), str(path))
+    assert main(["invariants", str(path), *flag]) == 1
+    out, got = capsys.readouterr()
+    assert out == "" and got == f"error: {err}\n"
+
+
 def test_cmd_circle_and_torus(tmp_path):
     samples = tmp_path / "cos.csv"
     n = 32
@@ -220,6 +232,11 @@ def test_cmd_reproduce(capsys):
     out = capsys.readouterr().out
     assert out.startswith("[PASS] hexagon")
     assert main(["reproduce", "no-such-scenario"]) == 1
+    capsys.readouterr()
+    for slack in ("nan", "inf", "-1"):
+        assert main(["reproduce", "length-inequality", "--slack", slack]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: slack must be finite and >= 0\n", slack
 
 
 def test_cmd_reproduce_failure_exit_code(capsys, monkeypatch):
