@@ -20,7 +20,7 @@ import numpy as np
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bar:
     """Half-open interval (birth, death] with an optional degree tag."""
 
@@ -69,7 +69,7 @@ class Barcode:
     def __eq__(self, other):
         if not isinstance(other, Barcode):
             return NotImplemented
-        return sorted(self.bars) == sorted(other.bars)
+        return sorted(self.bars, key=Bar._key) == sorted(other.bars, key=Bar._key)
 
     def finite_bars(self) -> list[Bar]:
         return [b for b in self.bars if b.finite]

@@ -8,7 +8,9 @@ k-1 cells, the rest closing cycles) is unique, and one route finds it:
 degree 0 pairs by union-find, and each higher degree by reducing the
 coboundary from low degree to high, skipping the columns that already
 paired one degree down (persistent cohomology with clearing); the top
-degree is never reduced.
+degree is never reduced.  Most coboundary columns are apparent: no
+earlier column has an entry in their lowest row, so they pair there
+unreduced (Ripser's apparent pairs); numpy finds them before the loop.
 """
 
 from __future__ import annotations
@@ -305,27 +307,47 @@ def _reduce(block: _Block, p: int, cleared=frozenset()) -> dict[int, int]:
     {row: coeff} dict.  Only the columns that pair are kept.  The columns
     in cleared are known to vanish and are skipped.
 
-    Returns the pairing: column j -> its lowest row.
+    Column j is apparent when no column before it has an entry in its
+    lowest row.  The reduced columns before j combine columns before j,
+    so none has its low there: j pairs with that row untouched, over any
+    field, and is never cleared.  numpy finds these pairs, the loop skips
+    them, and an apparent column is made only if a later one subtracts it.
+
+    Returns the pairing: column j -> its lowest row, in column order.
     """
-    rows, coeffs, ptr = block.rows.tolist(), block.coeffs.tolist(), block.indptr.tolist()
-    low_to_col: dict[int, int] = {}
-    paired: dict = {}
-    for j, (a, b) in enumerate(zip(ptr, ptr[1:])):
-        if j in cleared:
-            continue
-        col = set(rows[a:b]) if p == 2 else dict(zip(rows[a:b], coeffs[a:b]))
+    n, ptr = len(block.values), block.indptr.tolist()
+    # reduceat misreads empty segments, so it sees only the non-empty columns
+    nonempty = np.flatnonzero(block.indptr[1:] > block.indptr[:-1])
+    low = np.full(n, -1)
+    low[nonempty] = np.maximum.reduceat(block.rows, block.indptr[nonempty])
+    left = np.full(block.rows.max(initial=-1) + 1, n)    # row -> first column with an entry there
+    np.minimum.at(left, block.rows, block.entry_cols())
+    apparent = np.zeros(n, bool)
+    apparent[nonempty] = left[low[nonempty]] == nonempty
+    low_to_col, paired = dict(zip(low[apparent].tolist(), np.flatnonzero(apparent).tolist())), {}
+
+    def column(j):
+        rows = block.rows[ptr[j]:ptr[j + 1]].tolist()
+        return set(rows) if p == 2 else dict(zip(rows, block.coeffs[ptr[j]:ptr[j + 1]].tolist()))
+
+    todo = (low >= 0) & ~apparent    # an empty column vanishes as it is
+    todo[list(cleared)] = False
+    low[~apparent] = -1    # from here on low[j] is j's pair, -1 while unpaired
+    for j in np.flatnonzero(todo).tolist():
+        col = column(j)
         while col:
-            low = max(col)
-            i = low_to_col.get(low)
+            r = max(col)
+            i = low_to_col.get(r)
             if i is None:
-                low_to_col[low] = j
-                paired[j] = col
+                low_to_col[r], paired[j], low[j] = j, col, r
                 break
+            other = paired[i] if i in paired else paired.setdefault(i, column(i))
             if p == 2:
-                col ^= paired[i]
+                col ^= other
             else:
-                _subtract(col, paired[i], col[low] * ff.inv_mod(paired[i][low], p) % p, p)
-    return {j: low for low, j in low_to_col.items()}
+                _subtract(col, other, col[r] * ff.inv_mod(other[r], p) % p, p)
+    cols = np.flatnonzero(low >= 0)
+    return dict(zip(cols.tolist(), low[cols].tolist()))
 
 
 def _coboundary(c: FilteredComplex, k: int) -> _Block:
@@ -390,8 +412,9 @@ def barannikov_reduce(c: FilteredComplex) -> JordanPairing:
     pairing = _cohomology_pairing(c)
     unpaired: dict[int, list[int]] = {}
     for k in values:
-        hit = pairing[k].keys() | pairing.get(k + 1, {}).values()
-        unpaired[k] = list(itertools.filterfalse(hit.__contains__, range(len(values[k]))))
+        hit = np.zeros(len(values[k]), bool)
+        hit[list(pairing[k])] = hit[list(pairing.get(k + 1, {}).values())] = True
+        unpaired[k] = np.flatnonzero(~hit).tolist()
     return JordanPairing(_Ids(c), values, pairing, unpaired)
 
 
@@ -402,16 +425,18 @@ def barcode_of_complex(c: FilteredComplex) -> Barcode:
     cycle classes never hit from above become rays.
     """
     jp = barannikov_reduce(c)
-    bars: list[Bar] = []
+    parts = [(np.zeros(0), np.zeros(0), np.zeros(0, np.int64))]
     for k in sorted(jp.values):
-        for j, low in jp.pairing.get(k, {}).items():
-            a = jp.values[k - 1][low]
-            b = jp.values[k][j]
-            if a < b:
-                bars.append(Bar(a, b, degree=k - 1))
-        for j in jp.unpaired[k]:
-            bars.append(Bar(jp.values[k][j], INF, degree=k))
-    return Barcode(sorted(bars, key=Bar._key))
+        pairs, values = jp.pairing[k], c._block(k).values
+        a, b = c._block(k - 1).values[list(pairs.values())], values[list(pairs)]
+        rays, keep = values[jp.unpaired[k]], a < b
+        parts += [(a[keep], b[keep], np.full(keep.sum(), k - 1)),
+                  (rays, np.full(len(rays), INF), np.full(len(rays), k))]
+    birth, death, degree = (np.concatenate(x) for x in zip(*parts))
+    # a stable sort on Bar._key, so bars appear in the order sorted(key=Bar._key) gives
+    order = np.lexsort((degree, death, birth))
+    return Barcode(list(map(Bar, birth[order].tolist(), death[order].tolist(),
+                            degree[order].tolist())))
 
 
 def boundary_depth_usher(c: FilteredComplex) -> float:

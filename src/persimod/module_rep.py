@@ -119,7 +119,7 @@ def barcode(v: ModuleRep) -> Barcode:
                     f"negative multiplicity {mult} for interval "
                     f"({endpoints[i]}, {endpoints[j]}]")
             bars.extend([Bar(endpoints[i], endpoints[j])] * mult)
-    return Barcode(sorted(bars))
+    return Barcode(sorted(bars, key=Bar._key))
 
 
 def _slots_for_bars(bars: list[Bar], spectrum: list[float]) -> tuple[list[int], list[dict[int, int]]]:
@@ -156,7 +156,7 @@ def _interval_module(spectrum: list[float], dims: list[int],
 def from_barcode(b: Barcode, p: int = ff.DEFAULT_P) -> ModuleRep:
     """Direct sum of interval modules realising the barcode."""
     spectrum = b.finite_endpoints()
-    return _interval_module(spectrum, *_slots_for_bars(sorted(b.bars), spectrum), p)
+    return _interval_module(spectrum, *_slots_for_bars(sorted(b.bars, key=Bar._key), spectrum), p)
 
 
 def refine_spectra(v: ModuleRep, w: ModuleRep) -> tuple[ModuleRep, ModuleRep]:
@@ -562,4 +562,4 @@ def normal_form_constructive(v: ModuleRep) -> Barcode:
             for j in range(i0, j0):
                 bases[j] = np.hstack([bases[j], cur])
                 cur = ff.matmul(v.maps[j], cur, p)
-    return Barcode(sorted(bars))
+    return Barcode(sorted(bars, key=Bar._key))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -33,6 +35,16 @@ def test_bar_validation():
     with pytest.raises(ValueError):
         Bar(1, 1)
     assert Bar(-INF, INF).length == INF
+
+
+def test_bar_is_a_frozen_hashable_value():
+    bar = Bar(0.5, 2.0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bar.death = 3.0
+    assert bar == Bar(0.5, 2.0, 1) and hash(bar) == hash(Bar(0.5, 2.0, 1))
+    assert bar != Bar(0.5, 2.0) and bar != Bar(0.5, 2.0, 0)
+    assert len({bar, Bar(0.5, 2.0, 1), Bar(0.5, 2.0)}) == 2
+    assert pickle.loads(pickle.dumps(bar)) == bar
 
 
 def test_bar_match_cost():

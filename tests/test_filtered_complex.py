@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,48 @@ def test_equal_value_pairs_emit_no_bar():
     assert bc == Barcode([Bar(1, INF, 0)])
 
 
+def old_order_bars(c):
+    """The bars made one at a time, per degree the pairs and then the rays,
+    and sorted stably on Bar._key."""
+    jp = barannikov_reduce(c)
+    bars = []
+    for k in sorted(jp.values):
+        for j, low in jp.pairing[k].items():
+            if jp.values[k - 1][low] < jp.values[k][j]:
+                bars.append(Bar(jp.values[k - 1][low], jp.values[k][j], k - 1))
+        bars += [Bar(jp.values[k][j], INF, k) for j in jp.unpaired[k]]
+    return sorted(bars, key=Bar._key)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_bar_order_is_the_sorted_order_bit_for_bit(p):
+    # ties between 0.0 and -0.0 keep the order the bars were made in, and
+    # int values come back as float endpoints with int degrees
+    def bits(bars):
+        return [(b.birth.hex(), b.death.hex(), type(b.birth), b.degree, type(b.degree))
+                for b in bars]
+
+    rng = random.Random(80 + p)
+    signed = 0
+    for _ in range(40):
+        cells = [Cell(str(v), 0, rng.choice([0.0, -0.0, 0])) for v in range(5)]
+        boundary = {}
+        for u, v in itertools.combinations(range(5), 2):
+            cells.append(Cell(f"{u}{v}", 1, rng.choice([0.0, -0.0, 1, 1.0])))
+            boundary[f"{u}{v}"] = {str(u): p - 1, str(v): 1}
+        for u, v, w in rng.sample(list(itertools.combinations(range(5), 3)), 4):
+            cells.append(Cell(f"{u}{v}{w}", 2, rng.choice([1, 1.0, 2])))
+            boundary[f"{u}{v}{w}"] = {f"{v}{w}": 1, f"{u}{w}": p - 1, f"{u}{v}": 1}
+        bars = barcode_of_complex(FilteredComplex(cells, boundary, p)).bars
+        assert bits(bars) == bits(sorted(bars, key=Bar._key))
+        assert bits(bars) == bits(old_order_bars(FilteredComplex(cells, boundary, p)))
+        signed += sum(b.birth.hex() == "-0x0.0p+0" for b in bars)
+    assert signed
+    nan = FilteredComplex([Cell("v", 0, 0), Cell("w", 0, math.nan)], {}, p)
+    with pytest.raises(ValueError, match=re.escape("bar needs birth < death, got (nan, inf]")):
+        barcode_of_complex(nan)
+
+
 def test_all_cells_at_zero_rays_match_betti():
     c = hollow_triangle()
     cells = [Cell(x.id, x.degree, 0.0) for x in c.cells]
@@ -226,16 +269,35 @@ def test_cell_list_order_does_not_matter(p):
 
 
 def boundary_pairing(c):
-    """The oracle: the plain boundary reduction, degree by degree, with no
-    clearing and no union-find."""
+    """The plain boundary reduction, degree by degree, with no clearing and
+    no union-find."""
     return {k: _reduce(c._block(k), c.p) for k in range(c.max_degree + 1)}
 
 
+def dense_pairing(c):
+    """The oracle: low-driven elimination on each dense boundary mod p, one
+    column at a time, with no apparent pairs, no clearing and no union-find."""
+    pairing = {}
+    for k in range(c.max_degree + 1):
+        m, pairs, col_of_low = _dense(c, k) % c.p, {}, {}
+        for j in range(m.shape[1]):
+            while m[:, j].any():
+                low = int(np.flatnonzero(m[:, j])[-1])
+                i = col_of_low.get(low)
+                if i is None:
+                    col_of_low[low], pairs[j] = j, low
+                    break
+                m[:, j] = (m[:, j] - m[low, j] * pow(int(m[low, i]), -1, c.p) * m[:, i]) % c.p
+        pairing[k] = pairs
+    return pairing
+
+
 def assert_same_pairing(c):
-    """The pairing route (union-find and coboundaries with clearing) finds
-    the pairing of the boundary reduction."""
+    """The pairing route (union-find and coboundaries with clearing) and
+    the boundary reduction both find the pairing of the dense oracle."""
     jp = barannikov_reduce(c)
-    pairing = boundary_pairing(c)
+    pairing = dense_pairing(c)
+    assert boundary_pairing(c) == pairing
     assert jp.pairing == pairing
     for k in pairing:
         values = sorted(cell.value for cell in c.cells if cell.degree == k)
@@ -296,6 +358,20 @@ def test_pairing_without_basis_on_degenerate_complexes(p):
     empty = FilteredComplex([], {}, p)
     assert assert_same_pairing(empty).pairing == {}
     assert barcode_of_complex(empty) == Barcode([])
+    points = FilteredComplex([Cell("v", 0, 1), Cell("w", 0, 0)], {}, p)
+    assert assert_same_pairing(points).pairing == {0: {}}
+    assert barcode_of_complex(points) == Barcode([Bar(0, INF, 0), Bar(1, INF, 0)])
+    # edges 23 and 13 and 03 have no triangle: the coboundary of the edges
+    # has empty columns first, last and between non-empty ones
+    values = {"23": 1, "01": 2, "12": 3, "13": 3.5, "02": 4, "03": 5}
+    edges = {e: {int(e[0]): p - 1, int(e[1]): 1} for e in values}
+    holes = FilteredComplex([Cell(v, 0, 0) for v in range(4)] + [Cell("012", 2, 6)]
+                            + [Cell(e, 1, x) for e, x in values.items()],
+                            {**edges, "012": {"12": 1, "02": p - 1, "01": 1}}, p)
+    assert assert_same_pairing(holes).pairing[2] == {0: 4}    # the triangle kills 02
+    assert barcode_of_complex(holes) == Barcode(
+        [Bar(0, 1, 0), Bar(0, 2, 0), Bar(0, 3, 0), Bar(0, INF, 0),
+         Bar(3.5, INF, 1), Bar(4, 6, 1), Bar(5, INF, 1)])
     # cells of degree 2 with no degree-1 cells below them bound nothing
     gap = FilteredComplex([Cell("v", 0, 0), Cell("w", 0, 1), Cell("s", 2, 2), Cell("t", 2, 3)],
                           {"s": {}, "t": {}}, p)
