@@ -31,8 +31,6 @@ class Bar:
     def __post_init__(self):
         if not self.birth < self.death:
             raise ValueError(f"bar needs birth < death, got ({self.birth}, {self.death}]")
-        if self.birth == INF or self.death == -INF:
-            raise ValueError("bar endpoints out of range")
 
     def _key(self):
         return (self.birth, self.death, self.degree is not None, self.degree or 0)
@@ -514,11 +512,14 @@ def mu_odd(b: Barcode) -> float:
     return best
 
 
-def multiplicity_grid_oracle(b: Barcode, k: int, resolution: float = 1e-3) -> float:
+GRID_RESOLUTION = 1e-3    # multiplicity_grid_oracle's grid step, as a share of the endpoint span
+
+
+def multiplicity_grid_oracle(b: Barcode, k: int) -> float:
     """Dense-grid estimate of mu_k, independent of the candidate search.
 
-    Scans windows (x, y] with both ends on a grid of the given resolution
-    (scaled by the endpoint span).  For each window covered by exactly k
+    Scans windows (x, y] with both ends on a grid of step GRID_RESOLUTION
+    times the endpoint span.  For each window covered by exactly k
     bars the supremal admissible c is min(len/4, smallest shrink at which
     an extra bar covers the window); the oracle reports the max over
     windows.  The grid is padded by 2.5 spans so unbounded-window regimes
@@ -530,7 +531,7 @@ def multiplicity_grid_oracle(b: Barcode, k: int, resolution: float = 1e-3) -> fl
     span = max(ends) - min(ends)
     if span == 0:
         return 0.0
-    step = resolution * span
+    step = GRID_RESOLUTION * span
     # Windows reach past the finite endpoints only where an infinite
     # endpoint keeps coverage alive out there.
     pad_lo = 2.5 * span if any(bar.birth == -INF for bar in b.bars) else step

@@ -185,7 +185,7 @@ def cech_barcode(cloud: PointCloud, max_dim: int,
     return drop_top_degree(barcode_of_complex(cech_complex(cloud, max_dim, p)), max_dim)
 
 
-def meb_radius(points, tol: float = 1e-12) -> float:
+def meb_radius(points) -> float:
     """Exact minimal enclosing ball radius of up to dim+1 points in R^d,
     d <= 4, by exhausting boundary-support subsets."""
     pts = np.asarray(points, dtype=float)
@@ -201,7 +201,8 @@ def meb_radius(points, tol: float = 1e-12) -> float:
             if center is None:
                 continue
             radius = float(np.linalg.norm(pts[list(support)[0]] - center))
-            if np.all(np.linalg.norm(pts - center, axis=1) <= radius + tol):
+            # the slack absorbs rounding in the circumcenter solve
+            if np.all(np.linalg.norm(pts - center, axis=1) <= radius + 1e-12):
                 best = min(best, radius)
     return best
 
@@ -313,9 +314,9 @@ def grid_triangulation(g: GridFunction) -> tuple[Triangulation, dict]:
 # small geometric constructions used across tests and the CLI
 
 
-def regular_polygon_points(n: int, side: float = 1.0) -> np.ndarray:
-    """Vertices of a regular n-gon with the given side length."""
-    radius = side / (2 * math.sin(math.pi / n))
+def regular_polygon_points(n: int) -> np.ndarray:
+    """Vertices of a regular n-gon with unit side length."""
+    radius = 1.0 / (2 * math.sin(math.pi / n))
     ang = 2 * math.pi * np.arange(n) / n
     return np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
 

@@ -134,10 +134,8 @@ def kernel_basis(m: np.ndarray, p: int = DEFAULT_P) -> np.ndarray:
     r, pivots = row_echelon(m, p)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = zeros(n_cols, len(free))
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for row_i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[row_i, fc])) % p
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = (-r[:len(pivots)][:, free]) % p
     return basis
 
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -120,7 +119,7 @@ class FilteredComplex:
 
     def __post_init__(self):
         """Convert hand-made cells, then check the arrays of either route:
-        faces in range and not above their cell's value, and d(d) = 0."""
+        faces not above their cell's value, and d(d) = 0."""
         ff.check_characteristic(self.p)
         if "_blocks" not in vars(self):
             self._cells, self._blocks = _convert(self.cells, self.boundary, self.p)
@@ -130,10 +129,6 @@ class FilteredComplex:
             if not b.rows.size:
                 continue
             cols = b.entry_cols()
-            outside = (b.rows < 0) | (b.rows >= len(below.values))
-            if outside.any():
-                raise InvalidComplexError(
-                    f"boundary of {self._cells[k][cols[outside][0]].id} hits an unknown cell")
             raised = below.values[b.rows] > b.values[cols]
             if raised.any():
                 raise InvalidComplexError(
@@ -245,38 +240,30 @@ def _convert(cells: list[Cell], boundary: dict, p: int):
                       for k, same in cells_of.items()}
 
 
-class _Ids(Mapping):
-    """JordanPairing.order: degree -> ids in reduction order, made when read."""
-
-    def __init__(self, c: FilteredComplex):
-        self._c, self._degrees = c, range(c.max_degree + 1)
-
-    def __getitem__(self, k) -> list:
-        if k not in self._degrees:
-            raise KeyError(k)
-        return [cell.id for cell in self._c.cells_of_degree(k)]
-
-    def __iter__(self):
-        return iter(self._degrees)
-
-    def __len__(self) -> int:
-        return len(self._degrees)
-
-
 @dataclass
 class JordanPairing:
     """The graded Jordan pairing of a filtered complex.
 
-    order[k] lists the degree-k cell ids in reduction order; pairing[k]
-    maps the index of a paired degree-k cell to the index of its partner
-    in degree (k-1); unpaired[k] are the cycle-closing indices that are
-    not hit from above.
+    pairing[k] maps the index of a paired degree-k cell to the index of
+    its partner in degree (k-1); unpaired[k] are the cycle-closing indices
+    that are not hit from above.  order[k] and values[k], the degree-k
+    cell ids and filtration values in reduction order, are made from the
+    complex on each access.
     """
 
-    order: Mapping[int, list]
-    values: dict[int, list[float]]
     pairing: dict[int, dict[int, int]]
     unpaired: dict[int, list[int]]
+    complex: FilteredComplex = field(compare=False, repr=False)
+
+    @property
+    def order(self) -> dict[int, list]:
+        return {k: [cell.id for cell in self.complex.cells_of_degree(k)]
+                for k in range(self.complex.max_degree + 1)}
+
+    @property
+    def values(self) -> dict[int, list[float]]:
+        return {k: self.complex._block(k).values.tolist()
+                for k in range(self.complex.max_degree + 1)}
 
 
 def _dense(c: FilteredComplex, k: int) -> np.ndarray:
@@ -408,14 +395,13 @@ def barannikov_reduce(c: FilteredComplex) -> JordanPairing:
     basis brings the filtered boundary to.  No basis is changed or
     returned: the pairing is unique, so _cohomology_pairing finds it
     without reducing the boundary."""
-    values = {k: c._block(k).values.tolist() for k in range(c.max_degree + 1)}
     pairing = _cohomology_pairing(c)
     unpaired: dict[int, list[int]] = {}
-    for k in values:
-        hit = np.zeros(len(values[k]), bool)
+    for k in range(c.max_degree + 1):
+        hit = np.zeros(len(c._block(k).values), bool)
         hit[list(pairing[k])] = hit[list(pairing.get(k + 1, {}).values())] = True
         unpaired[k] = np.flatnonzero(~hit).tolist()
-    return JordanPairing(_Ids(c), values, pairing, unpaired)
+    return JordanPairing(pairing, unpaired, c)
 
 
 def barcode_of_complex(c: FilteredComplex) -> Barcode:
@@ -426,7 +412,7 @@ def barcode_of_complex(c: FilteredComplex) -> Barcode:
     """
     jp = barannikov_reduce(c)
     parts = [(np.zeros(0), np.zeros(0), np.zeros(0, np.int64))]
-    for k in sorted(jp.values):
+    for k in range(c.max_degree + 1):
         pairs, values = jp.pairing[k], c._block(k).values
         a, b = c._block(k - 1).values[list(pairs.values())], values[list(pairs)]
         rays, keep = values[jp.unpaired[k]], a < b

@@ -50,13 +50,14 @@ class TrigPolynomial2D:
             out = out + a * np.cos(phase) + b * np.sin(phase)
         return out
 
-    def on_grid(self, n: int, period: float = 2 * math.pi) -> GridFunction:
-        xs = period * np.arange(n) / n
-        return GridFunction(self(xs[:, None], xs[None, :]), period=period)
+    def on_grid(self, n: int) -> GridFunction:
+        """Samples on the n x n grid of the 2 pi torus."""
+        xs = 2 * math.pi * np.arange(n) / n
+        return GridFunction(self(xs[:, None], xs[None, :]))
 
 
-def random_trig_polynomial(rng, lam: float, scale: float = 1.0) -> TrigPolynomial2D:
-    """Random polynomial in T_lam with coefficients uniform in +-scale.
+def random_trig_polynomial(rng, lam: float) -> TrigPolynomial2D:
+    """Random polynomial in T_lam with coefficients uniform in [-1, 1].
 
     Frequencies (0,0) aside, only one of each +-n pair is kept (the other
     is redundant for real polynomials).
@@ -67,7 +68,7 @@ def random_trig_polynomial(rng, lam: float, scale: float = 1.0) -> TrigPolynomia
         for n2 in range(-cap, cap + 1):
             if n1 * n1 + n2 * n2 > lam or (n1, n2) <= (0, 0):
                 continue
-            coeffs[(n1, n2)] = (rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+            coeffs[(n1, n2)] = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
     return TrigPolynomial2D(coeffs, lam)
 
 

@@ -363,28 +363,23 @@ def induced_matching(f: ModuleMorphism) -> Matching:
 # interleavings
 
 
-def _interval_morphism_entry(src: Bar, dst: Bar, lo: float, hi: float) -> int:
-    """1 iff the canonical map F(src) -> F(dst) is the identity on the
-    interval (lo, hi] (it is multiplication by 1 on src n dst when
-    dst.birth <= src.birth and src.birth < dst.death <= src.death)."""
-    if not (dst.birth <= src.birth and src.birth < dst.death <= src.death):
-        return 0
-    return int(src.birth <= lo and hi <= src.death
-               and dst.birth <= lo and hi <= dst.death)
+def _interval_morphism_entry(src: Bar, dst: Bar) -> int:
+    """1 iff the canonical map F(src) -> F(dst) is nonzero, which is when
+    dst.birth <= src.birth < dst.death <= src.death; it is then the
+    identity on every interval both bars cover, and 0 elsewhere."""
+    return int(dst.birth <= src.birth < dst.death <= src.death)
 
 
-def _matched_pair_matrices(src, dst, pairs, spectrum):
+def _matched_pair_matrices(src, dst, pairs):
     """Components of the map sending each src bar of a pair to its dst bar
-    by the canonical interval map; src and dst are (bars, dims, slots)."""
+    by the canonical interval map; src and dst are (bars, dims, slots)
+    over one spectrum."""
     (src_bars, dims_src, src_slots), (dst_bars, dims_dst, dst_slots) = src, dst
-    endpoints = [-INF] + list(spectrum) + [INF]
     comps = [ff.zeros(dims_dst[i], dims_src[i]) for i in range(len(dims_src))]
     for si, di in pairs:
-        for i in range(1, len(dims_src) + 1):
-            if i in src_slots[si] and i in dst_slots[di]:
-                lo, hi = endpoints[i - 1], endpoints[i]
-                comps[i - 1][dst_slots[di][i], src_slots[si][i]] = \
-                    _interval_morphism_entry(src_bars[si], dst_bars[di], lo, hi)
+        entry = _interval_morphism_entry(src_bars[si], dst_bars[di])
+        for i in src_slots[si].keys() & dst_slots[di].keys():
+            comps[i - 1][dst_slots[di][i], src_slots[si][i]] = entry
     return comps
 
 
@@ -450,7 +445,7 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
         return _interval_module(spectrum, *table[key][1:], p)
 
     def matrices(src, dst, pairs) -> list[np.ndarray]:
-        return _matched_pair_matrices(table[src], table[dst], pairs, spectrum)
+        return _matched_pair_matrices(table[src], table[dst], pairs)
 
     pairs, flipped = m.pairs, [(j, i) for i, j in m.pairs]
     f = ModuleMorphism(module((0, 0)), module((1, 1)), matrices((0, 0), (1, 1), pairs))

@@ -10,6 +10,7 @@ of -1, so representations live over an odd characteristic; F_5 works
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,12 @@ def eigenspace_submodule(r: ModuleRepWithAction, xi: int) -> ModuleRep:
 
 
 def even_multiplicity_check(b: Barcode) -> bool:
-    """True iff the number of bars over every window between consecutive
-    endpoint values is even (the complex-structure parity condition)."""
-    ends = sorted({e for bar in b.bars for e in (bar.birth, bar.death)})
-    for i, lo in enumerate(ends):
-        for hi in ends[i + 1:]:
-            count = sum(1 for bar in b.bars if bar.birth <= lo and hi <= bar.death)
-            if count % 2:
-                return False
-    return True
+    """True iff, for every pair lo < hi of endpoint values (consecutive or
+    not), an even number of bars cover (lo, hi] (the complex-structure
+    parity condition).  By inclusion-exclusion over those windows this
+    holds exactly when every (birth, death) occurs an even number of
+    times, which is what is counted."""
+    return all(n % 2 == 0 for n in Counter((bar.birth, bar.death) for bar in b.bars).values())
 
 
 def z4_obstruction_bound(r: ModuleRepWithAction) -> float:

@@ -34,6 +34,9 @@ def test_bar_validation():
         Bar(2, 1)
     with pytest.raises(ValueError):
         Bar(1, 1)
+    for birth, death in ((INF, INF), (-INF, -INF), (INF, 1.0), (1.0, -INF)):
+        with pytest.raises(ValueError, match="birth < death"):
+            Bar(birth, death)
     assert Bar(-INF, INF).length == INF
 
 
@@ -353,7 +356,7 @@ def test_persistent_betti_hexagon_window():
     import numpy as np
     from persimod.complexes import (FiniteMetricSpace, regular_polygon_points,
                                     rips_barcode)
-    bc = rips_barcode(FiniteMetricSpace.from_points(regular_polygon_points(6, 1.0)), 3)
+    bc = rips_barcode(FiniteMetricSpace.from_points(regular_polygon_points(6)), 3)
     deg1 = bc.restrict_degree(1)
     assert persistent_betti(deg1, Bar(1.2, 1.5)) == 1
     assert persistent_betti(bc.restrict_degree(0), Bar(1.2, 1.5)) == 1  # the ray

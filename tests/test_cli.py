@@ -26,7 +26,7 @@ INF = math.inf
 
 
 def write_hexagon_csv(path):
-    pts = regular_polygon_points(6, 1.0)
+    pts = regular_polygon_points(6)
     path.write_text("\n".join(f"{float(x)!r},{float(y)!r}" for x, y in pts) + "\n")
 
 
@@ -242,13 +242,10 @@ def test_cmd_reproduce(capsys):
 def test_cmd_reproduce_failure_exit_code(capsys, monkeypatch):
     # a failing scenario must be signalled with exit code 2, whatever
     # state the pinned scenarios are in
-    def always_red(seed, slack):
-        chk = persimod.reproduce._Check()
-        chk.expect("deliberate failure", False)
-        return chk
+    def always_red(result, seed, slack):
+        result.expect("deliberate failure", False)
 
-    monkeypatch.setitem(persimod.reproduce.SCENARIOS, "always-red",
-                        (always_red, "deliberately failing scenario"))
+    monkeypatch.setitem(persimod.reproduce.SCENARIOS, "always-red", always_red)
     assert main(["reproduce", "always-red"]) == 2
     assert "MISMATCH" in capsys.readouterr().out
 

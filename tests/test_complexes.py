@@ -53,7 +53,7 @@ def test_metric_space_validation():
 
 
 def test_hexagon_rips():
-    x = FiniteMetricSpace.from_points(regular_polygon_points(6, 1.0))
+    x = FiniteMetricSpace.from_points(regular_polygon_points(6))
     bc = rips_barcode(x, 3)
     want = Barcode([Bar(0, 1, 0)] * 5
                    + [Bar(0, INF, 0), Bar(1, S3, 1), Bar(S3, 2, 2)])
@@ -61,7 +61,7 @@ def test_hexagon_rips():
 
 
 def test_hexagon_cech():
-    bc = cech_barcode(PointCloud(regular_polygon_points(6, 1.0)), 3)
+    bc = cech_barcode(PointCloud(regular_polygon_points(6)), 3)
     want = Barcode([Bar(0, 1, 0)] * 5 + [Bar(0, INF, 0), Bar(1, 2, 1)])
     assert barcodes_close(bc, want)
 
@@ -93,7 +93,7 @@ def test_rips_filtration_monotone_under_faces():
 def test_meb_examples():
     assert meb_radius([[1, 2]]) == 0
     assert abs(meb_radius([[0, 0], [0, 4]]) - 2) < 1e-12
-    tri = regular_polygon_points(6, 1.0)[[0, 2, 4]]
+    tri = regular_polygon_points(6)[[0, 2, 4]]
     assert abs(meb_radius(tri) - 1.0) < 1e-9
     # obtuse triangle: ball spanned by the long side
     assert abs(meb_radius([[0, 0], [4, 0], [1, 0.3]]) - 2.0088) < 1e-2

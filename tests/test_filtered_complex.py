@@ -133,12 +133,12 @@ def old_order_bars(c):
     """The bars made one at a time, per degree the pairs and then the rays,
     and sorted stably on Bar._key."""
     jp = barannikov_reduce(c)
-    bars = []
-    for k in sorted(jp.values):
+    values, bars = jp.values, []
+    for k in sorted(values):
         for j, low in jp.pairing[k].items():
-            if jp.values[k - 1][low] < jp.values[k][j]:
-                bars.append(Bar(jp.values[k - 1][low], jp.values[k][j], k - 1))
-        bars += [Bar(jp.values[k][j], INF, k) for j in jp.unpaired[k]]
+            if values[k - 1][low] < values[k][j]:
+                bars.append(Bar(values[k - 1][low], values[k][j], k - 1))
+        bars += [Bar(values[k][j], INF, k) for j in jp.unpaired[k]]
     return sorted(bars, key=Bar._key)
 
 

@@ -34,16 +34,9 @@ def interval_pair_morphism(src_bars, dst_bars, unit_pairs, p=2):
                                         for bars in (src_bars, dst_bars))
     v = MR._interval_module(spectrum, vdims, vslots, p)
     w = MR._interval_module(spectrum, wdims, wslots, p)
-    comps = [ff.zeros(dw, dv) for dv, dw in zip(v.dims, w.dims)]
-    for sb, db in unit_pairs:
-        si, di = src_bars.index(sb), dst_bars.index(db)
-        for i in range(1, len(v.dims) + 1):
-            if i in vslots[si] and i in wslots[di]:
-                lo = -INF if i == 1 else spectrum[i - 2]
-                hi = INF if i == len(v.dims) else spectrum[i - 1]
-                comps[i - 1][wslots[di][i], vslots[si][i]] = \
-                    MR._interval_morphism_entry(sb, db, lo, hi)
-    return ModuleMorphism(v, w, comps)
+    pairs = [(src_bars.index(sb), dst_bars.index(db)) for sb, db in unit_pairs]
+    return ModuleMorphism(v, w, MR._matched_pair_matrices(
+        (src_bars, vdims, vslots), (dst_bars, wdims, wslots), pairs))
 
 
 def test_roundtrip_examples():

@@ -214,11 +214,37 @@ def test_simplicial_action_sign_is_the_permutation_sign(p):
                 assert verify_representation(r)
 
 
+def all_windows_parity(b):
+    """The parity condition read off directly: every window (lo, hi]
+    between two endpoint values lies under an even number of bars."""
+    ends = sorted({e for bar in b.bars for e in (bar.birth, bar.death)})
+    for i, lo in enumerate(ends):
+        for hi in ends[i + 1:]:
+            if sum(1 for bar in b.bars if bar.birth <= lo and hi <= bar.death) % 2:
+                return False
+    return True
+
+
 def test_even_multiplicity_check():
     assert even_multiplicity_check(Barcode([Bar(0, 1), Bar(0, 1)]))
     assert not even_multiplicity_check(Barcode([Bar(0, 2), Bar(0, 1)]))
     assert even_multiplicity_check(Barcode([]))
     assert even_multiplicity_check(Barcode([Bar(0, INF), Bar(0, INF)]))
+    # -0.0 and 0.0 are one endpoint value, so these two bars are a pair
+    assert even_multiplicity_check(Barcode([Bar(-0.0, 1), Bar(0.0, 1)]))
+    rng = random.Random(13)
+    pool = [-INF, -1.0, -0.0, 0.0, 1.0, 2.0, INF]
+    seen = set()
+    for _ in range(2000):
+        bars = []
+        for _ in range(rng.randint(0, 5)):
+            birth, death = rng.choice(pool), rng.choice(pool)
+            if birth < death:
+                bars += [Bar(birth, death)] * rng.choice([1, 2, 2, 3, 4])
+        b = Barcode(bars)
+        assert even_multiplicity_check(b) == all_windows_parity(b), bars
+        seen.add(all_windows_parity(b))
+    assert seen == {True, False}
 
 
 def test_z4_square_has_even_eigenspace():
