@@ -13,6 +13,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -52,11 +53,30 @@ class Bar:
         return Bar(b, d, self.degree)
 
 
-@dataclass
 class Barcode:
-    """Finite multiset of bars, stored as a list."""
+    """Finite multiset of bars, stored as a list; one made by _of_columns
+    makes its bars from sorted columns when bars is first read."""
 
-    bars: list[Bar] = field(default_factory=list)
+    def __init__(self, bars: Optional[list[Bar]] = None):
+        self.bars = [] if bars is None else bars
+
+    @classmethod
+    def _of_columns(cls, birth: np.ndarray, death: np.ndarray, degree: np.ndarray) -> Barcode:
+        for i in np.flatnonzero(~(birth < death))[:1].tolist():
+            Bar(birth[i].item(), death[i].item())    # raises the error a Bar raises
+        out = cls.__new__(cls)
+        out._columns = birth, death, degree
+        return out
+
+    @cached_property
+    def bars(self) -> list[Bar]:
+        return list(map(Bar, *(x.tolist() for x in self._columns)))
+
+    def __repr__(self):
+        return f"Barcode(bars={self.bars!r})"
+
+    def __getstate__(self):    # pickles as the bar list alone, made or not
+        return {"bars": self.bars}
 
     def __iter__(self):
         return iter(self.bars)

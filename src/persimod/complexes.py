@@ -126,12 +126,13 @@ def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
     its facets' values and own(rows of subsets); vertices enter at 0."""
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    count = sum(math.comb(n, k + 1) for k in range(max_dim + 1))
+    top = min(max_dim, n - 1)    # no subset has more than n vertices
+    count = sum(math.comb(n, k + 1) for k in range(top + 1))
     if count > MAX_NERVE_CELLS:
         raise ValueError(f"{count} simplices on {n} points up to dimension {max_dim} "
                          f"exceed the limit of {MAX_NERVE_CELLS}")
     subsets = [np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                           dtype=np.int64).reshape(-1, k) for k in range(1, max_dim + 2)]
+                           dtype=np.int64).reshape(-1, k) for k in range(1, top + 2)]
 
     def value(k, facet_values):
         return _first_max(np.column_stack([facet_values, own(subsets[k])])) if k else np.zeros(n)
@@ -169,8 +170,10 @@ def drop_top_degree(b: Barcode, max_dim: int) -> Barcode:
     an artifact of the missing higher cells, so pipelines report only the
     degrees below it.
     """
-    return Barcode([bar for bar in b.bars
-                    if bar.degree is None or bar.degree < max_dim])
+    if "bars" in vars(b):
+        return Barcode([bar for bar in b.bars if bar.degree is None or bar.degree < max_dim])
+    keep = b._columns[2] < max_dim    # bars not made yet: the dropped ones never are
+    return Barcode._of_columns(*(x[keep] for x in b._columns))
 
 
 def rips_barcode(x: FiniteMetricSpace, max_dim: int,

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import field as ff
-from .barcode import Bar, Barcode
+from .barcode import Barcode
 from .module_rep import ModuleRep
 
 INF = math.inf
@@ -142,7 +142,7 @@ class FilteredComplex:
             sub = np.repeat(below.indptr[b.rows] - end + n, n) + np.arange(end[-1])
             n2 = len(self._block(k - 2).values)
             key = np.repeat(cols, n) * n2 + below.rows[sub]
-            order = np.argsort(key)
+            order = np.argsort(key, kind="stable")    # fast on keys grouped by column
             key = key[order]
             dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
             terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
@@ -342,7 +342,7 @@ def _coboundary(c: FilteredComplex, k: int) -> _Block:
     n_k-1-t, and row r is degree-(k+1) cell n_{k+1}-1-r."""
     below, b = c._block(k), c._block(k + 1)
     t = len(below.values) - 1 - b.rows
-    order = np.argsort(t, kind="stable")
+    order = np.argsort(t * len(t) + np.arange(len(t)))    # unique keys: the stable order
     return _Block(below.values[::-1],
                   np.concatenate(([0], np.cumsum(np.bincount(t, minlength=len(below.values))))),
                   (len(b.values) - 1 - b.entry_cols())[order], b.coeffs[order])
@@ -421,8 +421,7 @@ def barcode_of_complex(c: FilteredComplex) -> Barcode:
     birth, death, degree = (np.concatenate(x) for x in zip(*parts))
     # a stable sort on Bar._key, so bars appear in the order sorted(key=Bar._key) gives
     order = np.lexsort((degree, death, birth))
-    return Barcode(list(map(Bar, birth[order].tolist(), death[order].tolist(),
-                            degree[order].tolist())))
+    return Barcode._of_columns(birth[order], death[order], degree[order])
 
 
 def boundary_depth_usher(c: FilteredComplex) -> float:

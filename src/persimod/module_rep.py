@@ -23,6 +23,7 @@ from . import field as ff
 from .barcode import Bar, Barcode, Matching, is_delta_matching
 
 INF = math.inf
+SNAP_TOL = 1e-9    # interleaving_from_matching's snap radius, relative to the endpoint scale
 
 
 class InconsistentModuleError(ValueError):
@@ -404,16 +405,14 @@ def _snap_function(values: list[float], tol: float):
 
 
 def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
-                               delta: float, p: int = ff.DEFAULT_P,
-                               snap_tol: float = 1e-9
-                               ) -> tuple[ModuleMorphism, ModuleMorphism]:
+                               delta: float) -> tuple[ModuleMorphism, ModuleMorphism]:
     """Build delta-interleaving morphisms F : V -> W[delta] and
     G : W -> V[delta] from a delta-matching of the barcodes.
 
     Matched bars carry the canonical nonzero interval morphisms, unmatched
     (necessarily short) bars map to zero.  Both compositions are verified
     to equal the 2*delta shift morphisms as exact matrix identities.
-    Endpoints closer than snap_tol (relative to the endpoint scale) are
+    Endpoints closer than SNAP_TOL (relative to the endpoint scale) are
     identified so float shifts cannot produce spurious sliver intervals.
     """
     if not is_delta_matching(b, c, m, delta):
@@ -423,14 +422,13 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
     scale = max((abs(e) for e in raw), default=1.0) + 2 * abs(delta)
     shifts = (0.0, -delta, -2 * delta)
     snap = _snap_function([e + s for e in raw for s in shifts],
-                          snap_tol * max(1.0, scale))
+                          SNAP_TOL * max(1.0, scale))
 
     def snapped(bar: Bar, s: float) -> Bar:
         lo = bar.birth if bar.birth == -INF else snap(bar.birth + s)
         hi = bar.death if bar.death == INF else snap(bar.death + s)
         if not lo < hi:
-            raise ValueError("bar shorter than the snap tolerance; "
-                             "pass snap_tol=0 for exactly-representable input")
+            raise ValueError("bar shorter than the snap tolerance")
         return Bar(lo, hi)
 
     # (side, s): the bars of V (side 0) or W (side 1) shifted by -s * delta,
@@ -442,7 +440,7 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
     table = {key: (same, *_slots_for_bars(same, spectrum)) for key, same in bars.items()}
 
     def module(key) -> ModuleRep:
-        return _interval_module(spectrum, *table[key][1:], p)
+        return _interval_module(spectrum, *table[key][1:], ff.DEFAULT_P)
 
     def matrices(src, dst, pairs) -> list[np.ndarray]:
         return _matched_pair_matrices(table[src], table[dst], pairs)
@@ -456,10 +454,10 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
     phi_v = matrices((0, 0), (0, 2), [(i, i) for i in range(len(b.bars))])
     phi_w = matrices((1, 0), (1, 2), [(j, j) for j in range(len(c.bars))])
     for i in range(len(f.components)):
-        lhs = ff.matmul(g_shift[i], f.components[i], p)
+        lhs = ff.matmul(g_shift[i], f.components[i], ff.DEFAULT_P)
         if not np.array_equal(lhs, phi_v[i]):
             raise AssertionError("G[delta] o F != 2*delta shift morphism")
-        lhs = ff.matmul(f_shift[i], g.components[i], p)
+        lhs = ff.matmul(f_shift[i], g.components[i], ff.DEFAULT_P)
         if not np.array_equal(lhs, phi_w[i]):
             raise AssertionError("F[delta] o G != 2*delta shift morphism")
     return f, g

@@ -323,6 +323,18 @@ def test_cmd_rips_single_point(tmp_path, capsys):
     assert data == {"bars": [{"birth": 0.0, "death": "inf", "degree": 0}]}
 
 
+@pytest.mark.parametrize("command", ["rips", "cech"])
+def test_cmd_max_dim_past_the_points_is_the_full_simplex(tmp_path, capsys, command):
+    # no subset of 3 points has more than 3 vertices, so a huge --max-dim
+    # answers at once, with the JSON of --max-dim 3
+    csv = tmp_path / "pts.csv"
+    csv.write_text("0.0,0.0\n1.0,0.0\n0.25,0.5\n")
+    assert main([command, str(csv), "--max-dim", "3"]) == 0
+    small = capsys.readouterr().out
+    assert main([command, str(csv), "--max-dim", "1000000000"]) == 0
+    assert capsys.readouterr().out == small
+
+
 def test_cmd_invariants_empty_barcode(tmp_path, capsys):
     path = tmp_path / "empty.json"
     dump_barcode(Barcode([]), str(path))

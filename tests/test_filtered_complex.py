@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import re
 
@@ -9,9 +10,10 @@ import pytest
 import persimod.field as ff
 from persimod.barcode import Bar, Barcode, boundary_depth
 from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
-                                Triangulation, cech_complex, circle_complex,
+                                Triangulation, cech_complex, circle_complex, drop_top_degree,
                                 rips_complex, sublevel_filtration, torus_grid_complex)
-from persimod.filtered_complex import (Cell, FilteredComplex, _dense, _reduce,
+from persimod.filtered_complex import (Cell, FilteredComplex, _coboundary, _dense,
+                                       _Block, _reduce,
                                        InvalidComplexError, barannikov_reduce,
                                        barcode_of_complex,
                                        boundary_depth_usher, homology_module,
@@ -40,6 +42,20 @@ def test_validation_dd_zero():
     with pytest.raises(InvalidComplexError):
         FilteredComplex([Cell("a", 0, 0), Cell("b", 1, 1), Cell("c", 2, 2)],
                         {"a": {}, "b": {"a": 1}, "c": {"b": 1}})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_validation_dd_zero_catches_one_flipped_sign(p):
+    # two filled triangles on a square; flipping one sign in either breaks d(d) = 0
+    edges = {e: {e[0]: p - 1, e[1]: 1} for e in ("ab", "bc", "ac", "cd", "ad")}
+    faces = {"abc": {"bc": 1, "ac": p - 1, "ab": 1}, "acd": {"cd": 1, "ad": p - 1, "ac": 1}}
+    cells = ([Cell(v, 0, 0) for v in "abcd"] + [Cell(e, 1, 1) for e in edges]
+             + [Cell("abc", 2, 2), Cell("acd", 2, 2)])
+    FilteredComplex(cells, {**edges, **faces}, p)
+    for t in faces:
+        for e, v in faces[t].items():
+            with pytest.raises(InvalidComplexError, match=re.escape(f"d(d({t})) != 0")):
+                FilteredComplex(cells, {**edges, **faces, t: {**faces[t], e: p - v}}, p)
 
 
 def test_validation_filtration_monotone():
@@ -142,17 +158,16 @@ def old_order_bars(c):
     return sorted(bars, key=Bar._key)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_bar_order_is_the_sorted_order_bit_for_bit(p):
-    # ties between 0.0 and -0.0 keep the order the bars were made in, and
-    # int values come back as float endpoints with int degrees
-    def bits(bars):
-        return [(b.birth.hex(), b.death.hex(), type(b.birth), b.degree, type(b.degree))
-                for b in bars]
+def bits(bars):
+    return [(b.birth.hex(), b.death.hex(), type(b.birth), b.degree, type(b.degree))
+            for b in bars]
 
+
+def signed_zero_cliques(p, count):
+    """Hand-made complexes on 5 vertices whose values tie between 0.0, -0.0
+    and int 0, and between int and float 1."""
     rng = random.Random(80 + p)
-    signed = 0
-    for _ in range(40):
+    for _ in range(count):
         cells = [Cell(str(v), 0, rng.choice([0.0, -0.0, 0])) for v in range(5)]
         boundary = {}
         for u, v in itertools.combinations(range(5), 2):
@@ -161,9 +176,18 @@ def test_bar_order_is_the_sorted_order_bit_for_bit(p):
         for u, v, w in rng.sample(list(itertools.combinations(range(5), 3)), 4):
             cells.append(Cell(f"{u}{v}{w}", 2, rng.choice([1, 1.0, 2])))
             boundary[f"{u}{v}{w}"] = {f"{v}{w}": 1, f"{u}{w}": p - 1, f"{u}{v}": 1}
-        bars = barcode_of_complex(FilteredComplex(cells, boundary, p)).bars
+        yield FilteredComplex(cells, boundary, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_bar_order_is_the_sorted_order_bit_for_bit(p):
+    # ties between 0.0 and -0.0 keep the order the bars were made in, and
+    # int values come back as float endpoints with int degrees
+    signed = 0
+    for c in signed_zero_cliques(p, 40):
+        bars = barcode_of_complex(c).bars
         assert bits(bars) == bits(sorted(bars, key=Bar._key))
-        assert bits(bars) == bits(old_order_bars(FilteredComplex(cells, boundary, p)))
+        assert bits(bars) == bits(old_order_bars(c))
         signed += sum(b.birth.hex() == "-0x0.0p+0" for b in bars)
     assert signed
     nan = FilteredComplex([Cell("v", 0, 0), Cell("w", 0, math.nan)], {}, p)
@@ -292,9 +316,23 @@ def dense_pairing(c):
     return pairing
 
 
+def coboundary_by_stable_sort(c, k):
+    """_coboundary as a stable argsort of the entries' columns builds it."""
+    below, b = c._block(k), c._block(k + 1)
+    t = len(below.values) - 1 - b.rows
+    order = np.argsort(t, kind="stable")
+    return _Block(below.values[::-1],
+                  np.concatenate(([0], np.cumsum(np.bincount(t, minlength=len(below.values))))),
+                  (len(b.values) - 1 - b.entry_cols())[order], b.coeffs[order])
+
+
 def assert_same_pairing(c):
     """The pairing route (union-find and coboundaries with clearing) and
-    the boundary reduction both find the pairing of the dense oracle."""
+    the boundary reduction both find the pairing of the dense oracle, and
+    each coboundary is bit-equal to its stable-sort build."""
+    for k in range(c.max_degree):
+        for got, want in zip(_coboundary(c, k), coboundary_by_stable_sort(c, k)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     jp = barannikov_reduce(c)
     pairing = dense_pairing(c)
     assert boundary_pairing(c) == pairing
@@ -335,6 +373,30 @@ def test_builders_keep_the_pairing_without_basis(p):
         for c in builder_complexes(rng, p):
             full = assert_same_pairing(c)
             assert full.pairing[1]    # some component merges
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_deferred_bars_match_bars_made_up_front(p):
+    rng = np.random.default_rng(70 + p)
+    hand_made = [heart_sphere(p=p), FilteredComplex([], {}, p), *signed_zero_cliques(p, 10)]
+    for c in [*builder_complexes(rng, p), *hand_made]:
+        eager = Barcode(old_order_bars(c))
+        for max_dim in range(c.max_degree + 2):
+            deferred = drop_top_degree(barcode_of_complex(c), max_dim)
+            made = barcode_of_complex(c)
+            assert bits(made.bars) == bits(eager.bars)
+            made = drop_top_degree(made, max_dim)
+            assert "bars" not in vars(deferred) and "bars" in vars(made)
+            assert bits(deferred.bars) == bits(made.bars)
+            assert all(b.degree < max_dim for b in deferred)
+        b = barcode_of_complex(c)
+        assert b.bars is b.bars and list(b) == b.bars and len(b) == len(eager)
+        # each fresh barcode_of_complex(c) has not made its bars yet; b has
+        fresh = barcode_of_complex
+        assert fresh(c) == eager and eager == fresh(c) and b == eager
+        assert repr(fresh(c)) == repr(b) == repr(eager)
+        assert pickle.dumps(fresh(c)) == pickle.dumps(b) == pickle.dumps(eager)
+        assert bits(pickle.loads(pickle.dumps(fresh(c))).bars) == bits(eager.bars)
 
 
 def test_union_find_falls_back_on_other_edge_columns():
