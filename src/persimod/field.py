@@ -1,9 +1,12 @@
 """
 Dense exact linear algebra over a prime field F_p (default p = 2).
 
-Matrices are numpy int64 arrays with entries reduced mod p, so p must
-be below 2^63.  All elimination uses a fixed pivot order (first nonzero
-entry in column scan) so reduced bases are reproducible across runs.
+Matrices pass in and out as numpy int64 arrays with entries reduced
+mod p, so p must be below 2^63.  Elimination runs on Python ints, which
+are exact for every such p: over F_2 each row is one int whose bit c is
+column c, over F_p each row is a list of ints.  It uses a fixed pivot
+order (first nonzero entry in column scan) so reduced bases are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -79,31 +82,75 @@ def row_echelon(m: np.ndarray, p: int = DEFAULT_P):
     """Row-reduce over F_p.
 
     Returns (R, pivot_cols) with R in reduced row-echelon form (pivots
-    normalised to 1, eliminated above and below).
+    normalised to 1, eliminated above and below).  *m* is not modified.
     """
     r = np.mod(np.array(m, dtype=np.int64), p)
-    big = p >= 2 ** 31
-    if big:
-        r = r.astype(object)    # products of entries past 2^62 need Python ints
-    n_rows, n_cols = r.shape
+    if r.size == 0:
+        return r, []
+    if p == 2:
+        rows = _pack_rows(r)
+        pivot_cols = _eliminate_gf2(rows)
+        return _unpack_rows(rows, r.shape[1]), pivot_cols
+    rows = r.tolist()
+    pivot_cols = _eliminate_fp(rows, p)
+    return np.array(rows, dtype=np.int64), pivot_cols
+
+
+def _eliminate_gf2(rows: list[int]) -> list[int]:
+    """Reduce rows packed as ints (bit c = column c) in place; return the pivots."""
+    pivot_cols: list[int] = []
+    for row in range(len(rows)):
+        rest = 0
+        for x in rows[row:]:
+            rest |= x
+        if not rest:
+            break
+        bit = rest & -rest    # the leftmost column with an entry at or below row
+        pr = next(i for i in range(row, len(rows)) if rows[i] & bit)
+        rows[row], rows[pr] = rows[pr], rows[row]
+        piv = rows[row]
+        rows[:] = [x ^ piv if x & bit else x for x in rows]
+        rows[row] = piv
+        pivot_cols.append(bit.bit_length() - 1)
+    return pivot_cols
+
+
+def _eliminate_fp(rows: list[list[int]], p: int) -> list[int]:
+    """Reduce rows of ints in [0, p) in place; return the pivots."""
     pivot_cols: list[int] = []
     row = 0
-    for col in range(n_cols):
-        if row == n_rows:
+    for col in range(len(rows[0])):
+        if row == len(rows):
             break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
+        pr = next((i for i in range(row, len(rows)) if rows[i][col]), None)
+        if pr is None:
             continue
-        pr = row + int(hits[0])
-        if pr != row:
-            r[[row, pr]] = r[[pr, row]]
-        r[row] = np.mod(r[row] * inv_mod(r[row, col], p), p)
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
-        r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
+        rows[row], rows[pr] = rows[pr], rows[row]
+        # the pivot row is 0 left of col, so every operation starts at col
+        inv = inv_mod(rows[row][col], p)
+        piv = [x * inv % p for x in rows[row][col:]]
+        rows[row][col:] = piv
+        for i, x in enumerate(rows):
+            f = x[col]
+            if f and i != row:
+                x[col:] = [(a - f * b) % p for a, b in zip(x[col:], piv)]
         pivot_cols.append(col)
         row += 1
-    return (r.astype(np.int64) if big else r), pivot_cols
+    return pivot_cols
+
+
+def _pack_rows(r: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix with at least one column as ints, bit c = column c."""
+    packed = np.packbits(r.astype(np.uint8), axis=1, bitorder="little")
+    width, buf = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+
+
+def _unpack_rows(rows: list[int], n_cols: int) -> np.ndarray:
+    width = (n_cols + 7) // 8
+    buf = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in rows), dtype=np.uint8)
+    return np.unpackbits(buf.reshape(len(rows), width), axis=1, count=n_cols,
+                         bitorder="little").astype(np.int64)
 
 
 def rank(m: np.ndarray, p: int = DEFAULT_P) -> int:
@@ -120,8 +167,9 @@ def in_span(v: np.ndarray, m: np.ndarray, p: int = DEFAULT_P) -> bool:
         raise ValueError("vector length must equal matrix row count")
     if not v.any():
         return True
-    aug = np.hstack([m, v.reshape(-1, 1)])
-    return rank(aug, p) == rank(m, p)
+    # v is outside the span iff it adds a pivot, which can only be the last column
+    pivots = row_echelon(np.hstack([m, v.reshape(-1, 1)]), p)[1]
+    return not pivots or pivots[-1] < m.shape[1]
 
 
 def kernel_basis(m: np.ndarray, p: int = DEFAULT_P) -> np.ndarray:
@@ -165,8 +213,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int = DEFAULT_P) -> np.ndarray:
     if any(c >= n for c in pivots):
         raise ValueError("inconsistent linear system over F_p")
     x = zeros(n, b.shape[1])
-    for row_i, pc in enumerate(pivots):
-        x[pc] = r[row_i, n:]
+    x[pivots] = r[:len(pivots), n:]
     return x[:, 0] if single else x
 
 

@@ -453,8 +453,9 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
             # value - lam <= alpha, not value <= lam + alpha: the candidate
             # alphas are exactly these differences, so compare the same way
             target = image[:, cell_level - lam <= alpha]
-            # inter lies in the span of target iff appending it keeps the rank
-            if ff.rank(np.hstack([target, inter]), p) != ff.rank(target, p):
+            # inter lies in the span of target iff none of its columns is a pivot
+            pivots = ff.row_echelon(np.hstack([target, inter]), p)[1]
+            if pivots and pivots[-1] >= target.shape[1]:
                 return False
         return True
 

@@ -102,6 +102,10 @@ def barcode(v: ModuleRep) -> Barcode:
         m = ff.eye(v.dims[i - 1])
         b[(i, i)] = v.dims[i - 1]
         for j in range(i + 1, n1 + 1):
+            if not b[(i, j - 1)]:
+                # p_{i,j-1} = 0, and every later composite factors through it
+                b.update({(i, k): 0 for k in range(j, n1 + 1)})
+                break
             m = ff.matmul(v.maps[j - 2], m, v.p)
             b[(i, j)] = ff.rank(m, v.p)
 

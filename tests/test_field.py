@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persimod import field as ff
@@ -113,14 +113,26 @@ def row_echelon_by_rows(m, p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 8),
+@given(st.integers(0, 12), st.integers(0, 70),
        st.sampled_from([2, 3, 5, 7, 11, 13, 31, 97, 101]),
        st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+# empty shapes, and F_2 rows that cross a 64-bit word or end mid-byte
+@example(0, 0, 2, 1.0, 0)
+@example(0, 9, 2, 1.0, 0)
+@example(5, 0, 3, 1.0, 0)
+@example(12, 64, 2, 0.5, 1)
+@example(12, 65, 2, 0.5, 2)
+@example(12, 70, 2, 0.9, 3)
+@example(12, 67, 5, 0.5, 4)
 def test_row_echelon_matches_row_loop(rows, cols, p, density, seed):
     rng = np.random.default_rng(seed)
-    m = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    # negative and unreduced entries as well as residues
+    m = rng.integers(-3 * p, 3 * p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    before = m.copy()
     r, piv = ff.row_echelon(m, p)
     want_r, want_piv = row_echelon_by_rows(m, p)
+    assert np.array_equal(m, before)
+    assert r.dtype == np.int64 and r.shape == m.shape
     assert piv == want_piv
     assert np.array_equal(r, want_r)
 
@@ -130,11 +142,11 @@ def test_row_echelon_matches_row_loop(rows, cols, p, density, seed):
 LARGE_PRIMES = [4294967311, 2 ** 61 - 1]
 
 
-def rank_by_python_ints(rows, p):
-    """Reference rank: Gauss-Jordan on lists of Python ints."""
-    rows, rank = [list(r) for r in rows], 0
+def row_echelon_by_python_ints(rows, p):
+    """Reference (R, pivot_cols): Gauss-Jordan on lists of Python ints."""
+    rows, rank, pivots = [[x % p for x in r] for r in rows], 0, []
     for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
@@ -144,8 +156,9 @@ def rank_by_python_ints(rows, p):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return rows, pivots
 
 
 def product_by_python_ints(a, b, p):
@@ -162,12 +175,19 @@ def test_large_characteristic_against_python_ints(p):
         s, t = (int(x) for x in rng.integers(0, p, 2))
         rows = [[a[i], b[i], (s * a[i] + t * b[i]) % p] for i in range(n)]
         m = np.array(rows, dtype=np.int64)
-        assert ff.rank(m, p) == rank_by_python_ints(rows, p) == 2
+        assert ff.rank(m, p) == len(row_echelon_by_python_ints(rows, p)[1]) == 2
         kb = ff.kernel_basis(m, p)
         assert kb.shape == (3, 1)
         assert product_by_python_ints(rows, kb.tolist(), p) == [[0]] * n
         x = ff.solve(m, m[:, 2], p)
         assert product_by_python_ints(rows, x.reshape(-1, 1).tolist(), p) == m[:, 2:].tolist()
+        # the full reduced form, on the same matrix and on one of random shape
+        shape = tuple(int(x) for x in rng.integers(1, 9, 2))
+        sparse = (rng.integers(0, p, shape) * (rng.random(shape) < rng.random())).tolist()
+        for case in (rows, sparse):
+            r, piv = ff.row_echelon(np.array(case, dtype=np.int64), p)
+            assert r.dtype == np.int64
+            assert (r.tolist(), piv) == row_echelon_by_python_ints(case, p)
 
 
 def test_is_prime_matches_trial_division():

@@ -61,6 +61,56 @@ def test_roundtrip_random_and_proper():
         assert barcode(from_barcode(bc)) == bc
 
 
+def short_bars(rng: random.Random) -> Barcode:
+    """Mostly bars one or two spectral steps long, so most composites die early."""
+    bars = []
+    for _ in range(rng.randint(0, 7)):
+        birth = rng.choice([-INF] + [float(t) for t in range(10)])
+        start = 0 if birth == -INF else int(birth)
+        death = rng.choice([INF, float(start + 1), float(start + 1), float(start + 2),
+                            float(start + rng.randint(1, 6))])
+        bars.append(Bar(birth, death))
+    return Barcode(bars)
+
+
+def rebased(v: ModuleRep, rng: np.random.Generator) -> ModuleRep:
+    """v with every V^i in a random basis, so composites are dense, not 0/1."""
+    bases = []
+    for d in v.dims:
+        g = rng.integers(0, v.p, (d, d))
+        while ff.rank(g, v.p) < d:
+            g = rng.integers(0, v.p, (d, d))
+        bases.append(g)
+    maps = [ff.matmul(ff.matmul(bases[k + 1], m, v.p), ff.solve(bases[k], ff.eye(v.dims[k]), v.p), v.p)
+            for k, m in enumerate(v.maps)]
+    return ModuleRep(list(v.spectrum), list(v.dims), maps, v.p)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_barcode_stops_at_the_first_zero_composite(p, monkeypatch):
+    calls = [0]
+    rank = ff.rank
+
+    def counted_rank(m, q):
+        calls[0] += 1
+        return rank(m, q)
+
+    monkeypatch.setattr(ff, "rank", counted_rank)
+    rng, nprng = random.Random(p), np.random.default_rng(p)
+    for _ in range(60):
+        b, c = short_bars(rng), short_bars(rng)
+        for want, v in ((b, from_barcode(b, p)),
+                        (Barcode(b.bars + c.bars), direct_sum(from_barcode(b, p), from_barcode(c, p)))):
+            v = rebased(v, nprng)
+            n1 = len(v.dims)
+            # p_{i,j} is multiplied out and ranked only while p_{i,j-1} is nonzero
+            ranked = sum(rank_invariant(v, i, j - 1) > 0
+                         for i in range(1, n1 + 1) for j in range(i + 1, n1 + 1))
+            calls[0] = 0
+            assert barcode(v) == want
+            assert calls[0] == ranked
+
+
 def test_rank_invariant_single_ray():
     v = from_barcode(Barcode([Bar(1.5, INF)]))
     assert rank_invariant(v, 1, 1) == 0
