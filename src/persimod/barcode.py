@@ -191,29 +191,38 @@ def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool
     return all(bar_match_cost(b.bars[i], c.bars[j]) <= delta for i, j in m.pairs)
 
 
-def _one_sided_cover(mandatory: list[int], adj: list[list[int]],
-                     n_other: int) -> Optional[list[int]]:
-    """Kuhn matching covering every mandatory vertex, or None.
+def _greedy_start(adj: list[list[int]], n_other: int) -> tuple[list[int], list[int]]:
+    """Greedy start: each vertex takes its first free neighbour."""
+    partner, unmatched = [-1] * n_other, []
+    for u, row in enumerate(adj):
+        for v in row:
+            if partner[v] == -1:
+                partner[v] = u
+                break
+        else:
+            unmatched.append(u)
+    return partner, unmatched
 
-    Returns other-side partner array (partner[j] = mandatory-side vertex).
-    """
-    partner = [-1] * n_other
-    for root in mandatory:
-        # depth-first search for an augmenting path on an explicit stack of
-        # (vertex, its untried edges), so no recursion limit applies;
-        # stack[d] reached stack[d + 1] through the other-side vertex taken[d]
-        seen = [False] * n_other
+
+def _augment(roots: list[int], adj: list[list[int]], partner: list[int]) -> Optional[list[int]]:
+    """Kuhn's search: augment *partner* from each root in turn, or None at
+    the first root with no augmenting path (no later augmentation adds one)."""
+    stamp = [-1] * len(partner)              # stamp[v] == root: v seen from root
+    for root in roots:
+        # depth-first search on an explicit stack of (vertex, its untried
+        # edges), so no recursion limit applies; stack[d] reached stack[d + 1]
+        # through the other-side vertex taken[d]
         stack, taken = [(root, iter(adj[root]))], []
         while stack:
             for v in stack[-1][1]:
-                if not seen[v]:
+                if stamp[v] != root:
                     break
             else:                    # dead end: back up one step
                 stack.pop()
                 if taken:
                     taken.pop()
                 continue
-            seen[v] = True
+            stamp[v] = root
             taken.append(v)
             if partner[v] == -1:     # augment along the path
                 for (u, _), w in zip(stack, taken):
@@ -234,24 +243,25 @@ def _neighbours(mask: np.ndarray) -> list[list[int]]:
 
 def _feasible_matching_at(b: list[Bar], c: list[Bar], delta: float,
                           cost: np.ndarray) -> Optional[list[tuple[int, int]]]:
-    """A delta-matching between bar lists, or None if none exists.
+    """A delta-matching between bar lists, or None if none exists; only
+    optimal_matching builds one, as bisection probes ask _delta_feasible.
 
     *cost* is _cost_matrix(b, c).  Every bar of length > 2*delta on either
     side must be matched, at cost <= delta.  A matching covering both
     mandatory sets exists iff each side can be covered on its own
-    (Mendelsohn-Dulmage); the two one-sided matchings are then merged by
-    flipping alternating paths, which only ever drops short bars.
+    (Mendelsohn-Dulmage); Kuhn's search from an empty matching covers each,
+    and flipping alternating paths merges them, dropping only short bars.
     """
     n_b, n_c = len(b), len(c)
     close = cost <= delta
     adj = _neighbours(close)
     long_b = [i for i in range(n_b) if b[i].length > 2 * delta]
     long_c = [j for j in range(n_c) if c[j].length > 2 * delta]
-    m1_partner = _one_sided_cover(long_b, adj, n_c)          # c index -> b index
+    m1_partner = _augment(long_b, adj, [-1] * n_c)            # c index -> b index
     if m1_partner is None:
         return None
     radj = _neighbours(close.T)
-    m2_partner = _one_sided_cover(long_c, radj, n_b)         # b index -> c index
+    m2_partner = _augment(long_c, radj, [-1] * n_b)           # b index -> c index
     if m2_partner is None:
         return None
 
@@ -283,6 +293,19 @@ def _feasible_matching_at(b: list[Bar], c: list[Bar], delta: float,
     return [(u, v) for u, v in enumerate(match_b) if v != -1]
 
 
+def _delta_feasible(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray, delta: float) -> bool:
+    """Whether _feasible_matching_at finds a delta-matching, without its merge
+    (len_*: float lengths).  Each side augments from the mandatory bars that
+    a greedy start left unmatched; any start is a matching, so it is exact."""
+    close = cost <= delta
+    for mask, lengths in ((close, len_b), (close.T, len_c)):
+        adj = _neighbours(mask[np.flatnonzero(lengths > 2 * delta)])
+        partner, unmatched = _greedy_start(adj, mask.shape[1])
+        if _augment(unmatched, adj, partner) is None:
+            return False
+    return True
+
+
 def bottleneck_candidates(b: Barcode, c: Barcode) -> list[float]:
     """Sorted deltas where feasibility can change: 0, the finite pair
     costs and the half-lengths of the finite bars."""
@@ -303,10 +326,12 @@ def _bottleneck_single_pool(b: Barcode, c: Barcode) -> float:
         return INF
     candidates = bottleneck_candidates(b, c)
     cost = _cost_matrix(b.bars, c.bars)
+    len_b, len_c = (np.array([x.death for x in bars], dtype=float)
+                    - np.array([x.birth for x in bars], dtype=float) for bars in (b.bars, c.bars))
     # Largest candidate is always feasible once ray counts agree.
     return candidates[bisect.bisect_left(
         candidates, True, hi=len(candidates) - 1,
-        key=lambda delta: _feasible_matching_at(b.bars, c.bars, delta, cost) is not None)]
+        key=lambda delta: _delta_feasible(cost, len_b, len_c, delta))]
 
 
 def bottleneck_distance(b: Barcode, c: Barcode) -> float:

@@ -3,9 +3,11 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from persimod.barcode import (Bar, Barcode, Matching, _cost_matrix,
+                              _delta_feasible, _feasible_matching_at,
                               _mu_candidate_cs, _mu_feasible, bar_match_cost,
                               beta_k,
                               bottleneck_bruteforce, bottleneck_candidates,
@@ -399,3 +401,72 @@ def test_shift_is_close_in_bottleneck():
         b = random_barcode(rng)
         delta = round(rng.uniform(0, 1), 3)
         assert bottleneck_distance(b, shift_barcode(b, delta)) <= delta + 1e-12
+
+
+def probe_pair(rng):
+    """Two barcodes of 0-60 bars each, of one of three kinds: spread bars,
+    stacked near-equal bars shifted by a little, or bars on a coarse grid
+    with tied endpoints.  Rays and -inf births come in matched numbers
+    most of the time, so that the probes are not all infeasible."""
+    kind = rng.choice(["spread", "near-equal", "grid"])
+    rays = [(rng.uniform(0, 2), INF) for _ in range(rng.randint(0, 3))]
+    rays += [(-INF, rng.uniform(1, 3)) for _ in range(rng.randint(0, 3))]
+    rays += [(-INF, INF)] * rng.randint(0, 1)
+
+    def side():
+        n = rng.randint(0, 60)
+        if kind == "spread":
+            pts = [(x, x + rng.uniform(0.01, 4)) for x in (rng.uniform(0, 8) for _ in range(n))]
+        elif kind == "near-equal":
+            shift = rng.choice([0.0, 1e-3, 2e-3])
+            pts = [(shift + rng.randint(0, 2) * 1e-4, 1 + shift + i * 1e-6) for i in range(n)]
+        else:
+            pts = [(x / 4, x / 4 + rng.randint(1, 6) / 4)
+                   for x in (rng.randint(0, 8) for _ in range(n))]
+        own = rays if rng.random() < 0.8 else rays[:len(rays) // 2]
+        return Barcode([Bar(b, d) for b, d in rng.sample(pts + own, len(pts) + len(own))])
+
+    return side(), side()
+
+
+def test_probe_equals_the_matching_search():
+    # the bisection probe must answer exactly what building the matching
+    # answers, at every candidate delta
+    rng = random.Random(37)
+    checked = {False: 0, True: 0}
+    for _ in range(24):
+        b, c = probe_pair(rng)
+        cost = _cost_matrix(b.bars, c.bars)
+        len_b, len_c = (np.array([bar.length for bar in x.bars], dtype=float) for x in (b, c))
+        for delta in bottleneck_candidates(b, c):
+            want = _feasible_matching_at(b.bars, c.bars, delta, cost) is not None
+            assert _delta_feasible(cost, len_b, len_c, delta) == want, (b.bars, c.bars, delta)
+            checked[want] += 1
+    assert min(checked.values()) > 1000
+
+
+@pytest.mark.parametrize("b, c, pairs", [
+    ([(0.5, INF), (1.5, 2), (0.5, 3), (1, INF), (1.5, 3), (0.5, 3.5)],
+     [(0.5, 3.5), (0.5, INF), (1, 3.5), (0.5, 2.5), (1, INF), (0, 2.5)],
+     [(0, 4), (2, 5), (3, 1), (4, 2), (5, 0)]),
+    ([(1.5, INF), (1, 2), (0, 2.5), (0, 3.5), (0, 3), (0.5, INF), (0.5, INF)],
+     [(1.5, INF), (1, 2.5), (0.5, INF), (0, INF)],
+     [(0, 3), (3, 1), (5, 2), (6, 0)]),
+    ([(1.5, 3), (0.5, 3), (1.5, 3), (0.5, 3), (0.5, INF), (0.5, INF)],
+     [(0.5, 2.5), (1, INF), (0, INF), (1.5, 2.5), (1, 3.5)],
+     [(1, 4), (3, 0), (4, 2), (5, 1)]),
+    ([(1.5, 3.5), (0, 3), (1, 2.5), (0, 3), (1.5, INF), (0, 2.5), (1.5, 2)],
+     [(0.5, 3), (0, 3), (0.5, 2), (1.5, 3.5), (1, 2), (1, 2), (0.5, INF)],
+     [(1, 2), (3, 1), (4, 6), (5, 0)]),
+    ([(0, INF), (0.5, 3.5), (0.5, INF), (0.5, 2.5), (0, 3), (1.5, 3.5), (1, INF)],
+     [(1.5, 2), (0, INF), (1, 3), (0.5, 2.5), (1, INF), (0.5, 3), (0.5, INF), (1.5, 2.5)],
+     [(0, 6), (1, 5), (2, 4), (4, 2), (6, 1)]),
+    ([(0, 2, 0), (0.5, 2, 0), (0, INF, 0), (1, 3, 1), (1, 2.5, 1)],
+     [(0.5, 2.5, 0), (0, 2, 0), (0.5, INF, 0), (1, 2.5, 1), (1.5, 3, 1), (1, 3, 1)],
+     [(0, 1), (1, 0), (2, 2), (3, 5)]),
+])
+def test_optimal_matching_pairs_are_pinned(b, c, pairs):
+    # tied endpoints leave many optimal matchings; the one returned is
+    # the plain Kuhn search's, and callers may have stored it
+    b, c = Barcode([Bar(*x) for x in b]), Barcode([Bar(*x) for x in c])
+    assert optimal_matching(b, c)[1].pairs == pairs

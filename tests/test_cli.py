@@ -132,11 +132,12 @@ def test_cmd_distance(tmp_path, capsys):
 
 
 def test_cmd_distance_many_near_equal_bars(tmp_path, capsys):
-    # Kuhn matching on 200 near-equal bars follows augmenting paths about
-    # as long as the bar count; they must not cost interpreter stack depth
+    # on 1500 stacked near-equal bars the probe graphs are dense and
+    # augmenting paths can run about as long as the bar count; they must cost
+    # no interpreter stack depth, and the probes no cubic time
     b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
-    dump_barcode(Barcode([Bar(0.0, 1 + i * 1e-6) for i in range(200)]), str(b1))
-    dump_barcode(Barcode([Bar(1e-3, 1 + 1e-3 + i * 1e-6) for i in range(200)]), str(b2))
+    dump_barcode(Barcode([Bar(0.0, 1 + i * 1e-6) for i in range(1500)]), str(b1))
+    dump_barcode(Barcode([Bar(1e-3, 1 + 1e-3 + i * 1e-6) for i in range(1500)]), str(b2))
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
