@@ -8,9 +8,11 @@ k-1 cells, the rest closing cycles) is unique, and one route finds it:
 degree 0 pairs by union-find, and each higher degree by reducing the
 coboundary from low degree to high, skipping the columns that already
 paired one degree down (persistent cohomology with clearing); the top
-degree is never reduced.  Most coboundary columns are apparent: no
-earlier column has an entry in their lowest row, so they pair there
-unreduced (Ripser's apparent pairs); numpy finds them before the loop.
+degree is never reduced.  Most columns are apparent: no earlier column
+has an entry in their lowest row, so they pair there unreduced (Ripser's
+apparent pairs); numpy finds them before any loop.  Graph-shaped blocks
+(d_1, the coboundary of a closed surface) pair by the elder rule through
+a forest of apparent pairs.  Pairings travel as index arrays.
 """
 
 from __future__ import annotations
@@ -240,20 +242,45 @@ def _convert(cells: list[Cell], boundary: dict, p: int):
                       for k, same in cells_of.items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class JordanPairing:
     """The graded Jordan pairing of a filtered complex.
 
-    pairing[k] maps the index of a paired degree-k cell to the index of
-    its partner in degree (k-1); unpaired[k] are the cycle-closing indices
-    that are not hit from above.  order[k] and values[k], the degree-k
-    cell ids and filtration values in reduction order, are made from the
-    complex on each access.
+    partner[k][j] is the index of the degree-(k-1) partner of degree-k
+    cell j, or -1.  pairing[k] (paired degree-k index -> partner index)
+    and unpaired[k] (the cycle-closing indices not hit from above) are
+    made from the arrays on first read, and == compares them.
+    order[k] and values[k], the degree-k cell ids and filtration values in
+    reduction order, are made from the complex on each access.
     """
 
-    pairing: dict[int, dict[int, int]]
-    unpaired: dict[int, list[int]]
-    complex: FilteredComplex = field(compare=False, repr=False)
+    partner: dict[int, np.ndarray]
+    complex: FilteredComplex = field(repr=False)
+
+    def __eq__(self, other):
+        return isinstance(other, JordanPairing) and (
+            self.pairing, self.unpaired) == (other.pairing, other.unpaired)
+
+    def _pairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        # in the order the pairs were found, which orders bars equal up to the sign
+        # of a zero: by cell from d_1, by partner descending from a coboundary
+        partner = self.partner[k]
+        j = np.flatnonzero(partner >= 0)
+        j = j[np.argsort(-partner[j])] if k > 1 else j
+        return j, partner[j]
+
+    def _unpaired(self, k: int) -> np.ndarray:
+        hit, up = self.partner[k] >= 0, self.partner.get(k + 1, np.zeros(0, np.int64))
+        hit[up[up >= 0]] = True
+        return np.flatnonzero(~hit)
+
+    @cached_property
+    def pairing(self) -> dict[int, dict[int, int]]:
+        return {k: dict(zip(*(x.tolist() for x in self._pairs(k)))) for k in self.partner}
+
+    @cached_property
+    def unpaired(self) -> dict[int, list[int]]:
+        return {k: self._unpaired(k).tolist() for k in self.partner}
 
     @property
     def order(self) -> dict[int, list]:
@@ -284,7 +311,7 @@ def _subtract(col: dict[int, int], other: dict[int, int], lam: int, p: int) -> N
             col.pop(r, None)
 
 
-def _reduce(block: _Block, p: int, cleared=frozenset()) -> dict[int, int]:
+def _reduce(block: _Block, p: int, cleared=np.False_) -> np.ndarray:
     """Low-driven column reduction over F_p: each column in turn subtracts
     earlier paired columns until its lowest row is new, and pairs with
     that row, or it vanishes.  Over F_2 a column is a set of rows and each
@@ -292,7 +319,7 @@ def _reduce(block: _Block, p: int, cleared=frozenset()) -> dict[int, int]:
     coboundary's rows range over all cells of the degree above, so a
     bitmask column would be as long as that degree); otherwise it is a
     {row: coeff} dict.  Only the columns that pair are kept.  The columns
-    in cleared are known to vanish and are skipped.
+    set in the boolean mask cleared are known to vanish and are skipped.
 
     Column j is apparent when no column before it has an entry in its
     lowest row.  The reduced columns before j combine columns before j,
@@ -300,7 +327,7 @@ def _reduce(block: _Block, p: int, cleared=frozenset()) -> dict[int, int]:
     field, and is never cleared.  numpy finds these pairs, the loop skips
     them, and an apparent column is made only if a later one subtracts it.
 
-    Returns the pairing: column j -> its lowest row, in column order.
+    Returns each column's pivot: the row it pairs with, or -1.
     """
     n, ptr = len(block.values), block.indptr.tolist()
     # reduceat misreads empty segments, so it sees only the non-empty columns
@@ -317,8 +344,7 @@ def _reduce(block: _Block, p: int, cleared=frozenset()) -> dict[int, int]:
         rows = block.rows[ptr[j]:ptr[j + 1]].tolist()
         return set(rows) if p == 2 else dict(zip(rows, block.coeffs[ptr[j]:ptr[j + 1]].tolist()))
 
-    todo = (low >= 0) & ~apparent    # an empty column vanishes as it is
-    todo[list(cleared)] = False
+    todo = (low >= 0) & ~apparent & ~cleared    # an empty column vanishes as it is
     low[~apparent] = -1    # from here on low[j] is j's pair, -1 while unpaired
     for j in np.flatnonzero(todo).tolist():
         col = column(j)
@@ -333,8 +359,7 @@ def _reduce(block: _Block, p: int, cleared=frozenset()) -> dict[int, int]:
                 col ^= other
             else:
                 _subtract(col, other, col[r] * ff.inv_mod(other[r], p) % p, p)
-    cols = np.flatnonzero(low >= 0)
-    return dict(zip(cols.tolist(), low[cols].tolist()))
+    return low
 
 
 def _coboundary(c: FilteredComplex, k: int) -> _Block:
@@ -348,17 +373,35 @@ def _coboundary(c: FilteredComplex, k: int) -> _Block:
                   (len(b.values) - 1 - b.entry_cols())[order], b.coeffs[order])
 
 
-def _union_find_pairing(edges: _Block, n_vertices: int, p: int) -> Optional[dict[int, int]]:
-    """The degree-1 pairing by the elder rule: an edge joining two
-    components pairs with the younger root (the larger index), which then
-    hangs under the older one.  None unless every edge column is a(u - v):
-    two entries whose coefficients sum to 0 mod p."""
+def _union_find_pairing(edges: _Block, n_vertices: int, p: int,
+                        cleared=np.False_) -> Optional[np.ndarray]:
+    """_reduce's pivots of a graph-shaped block, by the elder rule: an edge
+    joining two components pairs with the younger root (the larger row),
+    which hangs under the older one.  None unless every column is a(u - v):
+    two entries whose coefficients sum to 0 mod p.
+
+    An apparent edge, the first to touch its larger row, finds that row
+    alone: it pairs there and hangs the row under its other row.  Pointer
+    jumping roots this forest.  On a row's path to its root every edge
+    comes before any edge that touches the row, so an edge whose rows
+    share a root pairs with nothing, nor does a cleared one.  The elder
+    rule then runs on the roots of the edges left, in column order."""
     counts = edges.indptr[1:] - edges.indptr[:-1]
     if (counts != 2).any() or (edges.coeffs[::2] != p - edges.coeffs[1::2]).any():
         return None
+    a, b = edges.rows[::2], edges.rows[1::2]
+    lo, hi, n, live = np.minimum(a, b), np.maximum(a, b), len(a), ~cleared
+    first = np.full(n_vertices, n)    # row -> the first live edge touching it
+    np.minimum.at(first, edges.rows, np.repeat(np.where(live, np.arange(n), n), 2))
+    apparent = first[hi] == np.arange(n)
+    pivots, root = np.where(apparent, hi, -1), np.arange(n_vertices)
+    root[hi[apparent]] = lo[apparent]
+    while (root[root] != root).any():
+        root = root[root]
+    a, b = root[lo], root[hi]
+    left = np.flatnonzero(live & ~apparent & (a != b))
     parent = list(range(n_vertices))
-    pairs = {}
-    for j, (u, v) in enumerate(zip(edges.rows[::2].tolist(), edges.rows[1::2].tolist())):
+    for j, u, v in zip(left.tolist(), a[left].tolist(), b[left].tolist()):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -367,27 +410,30 @@ def _union_find_pairing(edges: _Block, n_vertices: int, p: int) -> Optional[dict
             if u < v:
                 u, v = v, u
             parent[u] = v
-            pairs[j] = u
-    return pairs
+            pivots[j] = u
+    return pivots
 
 
-def _cohomology_pairing(c: FilteredComplex) -> dict[int, dict[int, int]]:
-    """The pairing of the boundary reduction, found without reducing it:
-    degree 0 by union-find where it applies, then the coboundary of each
-    degree below the top with clearing."""
+def _cohomology_pairing(c: FilteredComplex) -> dict[int, np.ndarray]:
+    """JordanPairing's partner arrays, found without reducing the boundary:
+    degree 0 by union-find on d_1 where it applies, then each coboundary
+    below the top degree with clearing, by union-find where every cell has
+    two cofaces with opposite coefficients (a closed surface over F_2, or a
+    consistently oriented one over F_p), and by _reduce otherwise."""
     sizes = [len(c._block(k).values) for k in range(c.max_degree + 2)]
-    pairing = {k: {} for k in range(c.max_degree + 1)}
+    partner = {k: np.full(sizes[k], -1) for k in range(c.max_degree + 1)}
     for k in range(c.max_degree):
-        if k == 0:
-            found = _union_find_pairing(c._block(1), sizes[0], c.p)
-            if found is not None:
-                pairing[1] = found
-                continue
+        if k == 0 and (found := _union_find_pairing(c._block(1), sizes[0], c.p)) is not None:
+            partner[1] = found
+            continue
         # a degree-k cell paired with a degree-(k-1) cell has a vanishing coboundary column
-        cleared = {sizes[k] - 1 - j for j in pairing[k]}
-        pivots = _reduce(_coboundary(c, k), c.p, cleared)
-        pairing[k + 1] = {sizes[k + 1] - 1 - r: sizes[k] - 1 - t for t, r in pivots.items()}
-    return pairing
+        block, cleared = _coboundary(c, k), (partner[k] >= 0)[::-1]
+        pivots = _union_find_pairing(block, sizes[k + 1], c.p, cleared)
+        if pivots is None:
+            pivots = _reduce(block, c.p, cleared)
+        t = np.flatnonzero(pivots >= 0)
+        partner[k + 1][sizes[k + 1] - 1 - pivots[t]] = sizes[k] - 1 - t
+    return partner
 
 
 def barannikov_reduce(c: FilteredComplex) -> JordanPairing:
@@ -395,13 +441,7 @@ def barannikov_reduce(c: FilteredComplex) -> JordanPairing:
     basis brings the filtered boundary to.  No basis is changed or
     returned: the pairing is unique, so _cohomology_pairing finds it
     without reducing the boundary."""
-    pairing = _cohomology_pairing(c)
-    unpaired: dict[int, list[int]] = {}
-    for k in range(c.max_degree + 1):
-        hit = np.zeros(len(c._block(k).values), bool)
-        hit[list(pairing[k])] = hit[list(pairing.get(k + 1, {}).values())] = True
-        unpaired[k] = np.flatnonzero(~hit).tolist()
-    return JordanPairing(pairing, unpaired, c)
+    return JordanPairing(_cohomology_pairing(c), c)
 
 
 def barcode_of_complex(c: FilteredComplex) -> Barcode:
@@ -413,9 +453,9 @@ def barcode_of_complex(c: FilteredComplex) -> Barcode:
     jp = barannikov_reduce(c)
     parts = [(np.zeros(0), np.zeros(0), np.zeros(0, np.int64))]
     for k in range(c.max_degree + 1):
-        pairs, values = jp.pairing[k], c._block(k).values
-        a, b = c._block(k - 1).values[list(pairs.values())], values[list(pairs)]
-        rays, keep = values[jp.unpaired[k]], a < b
+        (j, i), values = jp._pairs(k), c._block(k).values
+        a, b = c._block(k - 1).values[i], values[j]
+        rays, keep = values[jp._unpaired(k)], a < b
         parts += [(a[keep], b[keep], np.full(keep.sum(), k - 1)),
                   (rays, np.full(len(rays), INF), np.full(len(rays), k))]
     birth, death, degree = (np.concatenate(x) for x in zip(*parts))

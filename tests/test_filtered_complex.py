@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
                                 Triangulation, cech_complex, circle_complex, drop_top_degree,
                                 rips_complex, sublevel_filtration, torus_grid_complex)
 from persimod.filtered_complex import (Cell, FilteredComplex, _coboundary, _dense,
-                                       _Block, _reduce,
+                                       _Block, _cohomology_pairing, _reduce,
+                                       _union_find_pairing,
                                        InvalidComplexError, barannikov_reduce,
                                        barcode_of_complex,
                                        boundary_depth_usher, homology_module,
@@ -295,7 +297,12 @@ def test_cell_list_order_does_not_matter(p):
 def boundary_pairing(c):
     """The plain boundary reduction, degree by degree, with no clearing and
     no union-find."""
-    return {k: _reduce(c._block(k), c.p) for k in range(c.max_degree + 1)}
+    pairing = {}
+    for k in range(c.max_degree + 1):
+        pivots = _reduce(c._block(k), c.p)
+        cols = np.flatnonzero(pivots >= 0)
+        pairing[k] = dict(zip(cols.tolist(), pivots[cols].tolist()))
+    return pairing
 
 
 def dense_pairing(c):
@@ -413,6 +420,120 @@ def test_union_find_falls_back_on_other_edge_columns():
                              {"e": {"w": 2}, "uv": {"u": 1, "v": 2}}, p=3)
     assert assert_same_pairing(single).pairing[1] == {0: 2, 1: 1}
     assert barcode_of_complex(single) == Barcode([Bar(0, INF, 0), Bar(1, 4, 0), Bar(2, 3, 0)])
+
+
+def oriented_torus(n, values, p):
+    """The periodic n x n grid, each square (i, j) split along its diagonal
+    into the counterclockwise triangles (i, j) (i+1, j) (i+1, j+1) and
+    (i, j) (i+1, j+1) (i, j+1), with lower-star values.  Each edge meets
+    its two triangles with opposite signs, so the degree-1 coboundary is a
+    graph over every F_p."""
+    at = [float(x) for x in values]
+    cells, boundary = [Cell(v, 0, at[v]) for v in range(n * n)], {}
+
+    def edge(x, y):
+        e = (min(x, y), max(x, y))
+        if e not in boundary:
+            cells.append(Cell(e, 1, max(at[x], at[y])))
+            boundary[e] = {e[0]: p - 1, e[1]: 1}
+        return e, 1 if x < y else p - 1
+
+    def v(i, j):
+        return i % n * n + j % n
+
+    for i, j in itertools.product(range(n), repeat=2):
+        for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                    (v(i, j), v(i + 1, j + 1), v(i, j + 1))):
+            cells.append(Cell(("t", *tri), 2, max(at[x] for x in tri)))
+            boundary[("t", *tri)] = dict(edge(x, y) for x, y in zip(tri, tri[1:] + tri[:1]))
+    return FilteredComplex(cells, boundary, p)
+
+
+def assert_forest_is_the_reduction(c, k):
+    """The union-find gives _reduce's pivots on the degree-k coboundary,
+    with no clearing and with the clearing the pairing route applies."""
+    block, n_above = _coboundary(c, k), len(c._block(k + 1).values)
+    for cleared in (np.False_, (_cohomology_pairing(c)[k] >= 0)[::-1]):
+        forest = _union_find_pairing(block, n_above, c.p, cleared)
+        assert forest is not None
+        assert np.array_equal(forest, _reduce(block, c.p, cleared))
+
+
+def torus_rays(c):
+    return Counter(b.degree for b in barcode_of_complex(c) if b.death == INF)
+
+
+def test_torus_coboundary_pairs_through_the_forest_over_f2():
+    rng = np.random.default_rng(90)
+    for nx, ny in [(4, 4), (5, 7), (8, 6), (12, 12)]:
+        # ties from rounding, so equal values order by id
+        c = torus_grid_complex(GridFunction(np.round(rng.normal(size=(nx, ny)), 1)), 2)
+        assert_forest_is_the_reduction(c, 1)
+        assert_same_pairing(c)
+        assert torus_rays(c) == {0: 1, 1: 2, 2: 1}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_oriented_torus_pairs_through_the_forest_over_fp(p):
+    rng = np.random.default_rng(90 + p)
+    for n in (4, 5, 6):
+        for _ in range(4):
+            c = oriented_torus(n, np.round(rng.normal(size=n * n), 1), p)
+            assert _union_find_pairing(c._block(1), n * n, p) is not None
+            assert_forest_is_the_reduction(c, 1)
+            assert_same_pairing(c)
+            assert torus_rays(c) == {0: 1, 1: 2, 2: 1}
+
+
+def test_builder_torus_falls_back_over_f3():
+    # the builder signs a face (-1)^t by position, not by orientation, so
+    # over F_3 some edge meets its two triangles with equal signs
+    c = torus_grid_complex(GridFunction(np.random.default_rng(93).normal(size=(5, 6))), 3)
+    assert _union_find_pairing(_coboundary(c, 1), len(c._block(2).values), 3) is None
+    assert_same_pairing(c)
+    assert torus_rays(c) == {0: 1, 1: 2, 2: 1}
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_parallel_edges_and_ties_keep_the_pairing(p):
+    rng = random.Random(95 + p)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        cells = [Cell(v, 0, rng.choice([0, 1])) for v in range(n)]
+        boundary = {}
+        for e in range(rng.randint(1, 12)):
+            u, v = rng.sample(range(n), 2)    # repeats make parallel edges
+            a = rng.randrange(1, p)    # the column a(u - v)
+            cells.append(Cell(f"e{e}", 1, rng.choice([1, 2])))
+            boundary[f"e{e}"] = {u: a, v: p - a}
+        c = FilteredComplex(cells, boundary, p)
+        assert _union_find_pairing(c._block(1), n, p) is not None
+        assert_same_pairing(c)
+
+
+def test_long_forest_path_on_a_circle():
+    # edge (i, i+1) is the first to touch i+1 and hangs it under i, so the
+    # forest holds a path of depth n - 2; the last edge, (n-2, n-1), ties with
+    # (0, n-1), comes after it by id, and finds both its rows under root 0
+    n = 20000
+    samples = np.arange(n) / n
+    b = barcode_of_complex(circle_complex(samples.tolist(), 2))
+    assert b == Barcode([Bar(samples[0], INF, 0), Bar(samples[-1], INF, 1)])
+
+
+def test_jordan_pairings_compare_by_their_views():
+    c = rips_complex(FiniteMetricSpace.from_points(np.random.default_rng(97).normal(size=(8, 2))),
+                     3, 3)
+    jp, again = barannikov_reduce(c), barannikov_reduce(c)
+    assert "pairing" not in vars(jp) and "unpaired" not in vars(jp)    # views made on first read
+    assert jp == again and all(jp.pairing[k] for k in (1, 2, 3))
+    assert jp != barannikov_reduce(heart_sphere(p=3)) and jp != jp.pairing
+    assert type(jp.pairing) is dict and type(jp.unpaired) is dict
+    for k in jp.partner:
+        assert all(type(x) is int for pair in jp.pairing[k].items() for x in pair)
+        assert type(jp.unpaired[k]) is list
+        assert all(type(j) is int for j in jp.unpaired[k])
+    assert jp.pairing is jp.pairing and jp.unpaired is jp.unpaired
 
 
 @pytest.mark.parametrize("p", [2, 3])
