@@ -46,9 +46,9 @@ class FiniteMetricSpace:
     @classmethod
     def from_points(cls, points) -> "FiniteMetricSpace":
         pts = np.asarray(points, dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
         # distances past the float range become inf, which __post_init__ rejects
         with np.errstate(over="ignore"):
+            diff = pts[:, None, :] - pts[None, :, :]
             return cls(np.sqrt((diff ** 2).sum(axis=2)))
 
 
@@ -115,6 +115,11 @@ class Triangulation:
         return sorted({v for s in self.simplices for v in s})
 
 
+def _repr_rank(labels: Sequence) -> np.ndarray:
+    """rank[v]: the place of repr(labels[v]) among the labels' reprs."""
+    return np.argsort(sorted(range(len(labels)), key=[repr(x) for x in labels].__getitem__))
+
+
 def _first_max(v: np.ndarray) -> np.ndarray:
     """Row-wise max that keeps the first of equal maxima, as Python's max
     does; np.maximum would keep the last of -0.0 and 0.0."""
@@ -131,19 +136,25 @@ def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
     if count > MAX_NERVE_CELLS:
         raise ValueError(f"{count} simplices on {n} points up to dimension {max_dim} "
                          f"exceed the limit of {MAX_NERVE_CELLS}")
-    subsets = [np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                           dtype=np.int64).reshape(-1, k) for k in range(1, top + 2)]
+    # in lexicographic order: each row of the size below, then each vertex above its last
+    subsets = [np.arange(n)[:, None]]
+    for _ in range(top):
+        rows = subsets[-1]
+        more = n - 1 - rows[:, -1]
+        last = np.arange(more.sum()) + np.repeat(rows[:, -1] + 1 - (np.cumsum(more) - more), more)
+        subsets.append(np.column_stack([np.repeat(rows, more, axis=0), last]))
 
     def value(k, facet_values):
         return _first_max(np.column_stack([facet_values, own(subsets[k])])) if k else np.zeros(n)
 
-    return FilteredComplex._of_simplices(range(n), subsets, value, p)
+    return FilteredComplex._of_simplices(range(n), _repr_rank(range(n)), subsets, value, p)
 
 
-def _lower_star(labels: Sequence, simplices: list, vertex_values, p: int) -> FilteredComplex:
+def _lower_star(labels: Sequence, rank, simplices: list, vertex_values, p: int) -> FilteredComplex:
     """Each simplex enters at the max of its vertex values, taken in the
     order its vertices are given; simplices[k] holds the degree-k
-    simplices as rows of vertex indices into labels, in any order."""
+    simplices as rows of vertex indices into labels, in any order.  rank
+    is as for FilteredComplex._of_simplices."""
     vv = np.array(vertex_values, dtype=float)
     rows, values = [], []
     for given in simplices:
@@ -151,7 +162,7 @@ def _lower_star(labels: Sequence, simplices: list, vertex_values, p: int) -> Fil
         order = np.lexsort(srt.T[::-1])
         rows.append(srt[order])
         values.append(_first_max(vv[given])[order])
-    return FilteredComplex._of_simplices(labels, rows, lambda k, facet_values: values[k], p)
+    return FilteredComplex._of_simplices(labels, rank, rows, lambda k, _: values[k], p)
 
 
 def rips_complex(x: FiniteMetricSpace, max_dim: int,
@@ -259,7 +270,7 @@ def sublevel_filtration(t: Triangulation, vertex_values: dict,
     # t.simplices run by size, so each group is one degree
     simplices = [np.array([[index[v] for v in s] for s in same])
                  for _, same in itertools.groupby(t.simplices, len)]
-    return _lower_star(labels, simplices, [vertex_values[v] for v in labels], p)
+    return _lower_star(labels, _repr_rank(labels), simplices, [vertex_values[v] for v in labels], p)
 
 
 def circle_complex(samples: Sequence[float], p: int = ff.DEFAULT_P) -> FilteredComplex:
@@ -269,7 +280,8 @@ def circle_complex(samples: Sequence[float], p: int = ff.DEFAULT_P) -> FilteredC
     if n < 3:
         raise ValueError("need at least 3 cyclic samples")
     i = np.arange(n)
-    return _lower_star(range(n), [i[:, None], np.stack([i, (i + 1) % n], axis=1)],
+    return _lower_star(range(n), _repr_rank(range(n)),
+                       [i[:, None], np.stack([i, (i + 1) % n], axis=1)],
                        [float(x) for x in samples], p)
 
 
@@ -292,7 +304,9 @@ def torus_grid_complex(g: GridFunction, p: int = ff.DEFAULT_P) -> FilteredComple
     labels, (a, b, c, d) = _torus_squares(nx, ny)
     edges = np.concatenate([np.stack(e, axis=1) for e in ((a, b), (a, c), (a, d))])
     triangles = np.concatenate([np.stack(t, axis=1) for t in ((a, b, d), (a, c, d))])
-    return _lower_star(labels, [a[:, None], edges, triangles], g.values.ravel(), p)
+    # repr((i, j)) orders like (str(i), str(j)): "," and ")" sort below the digits
+    rank = (_repr_rank(range(nx))[:, None] * ny + _repr_rank(range(ny))).ravel()
+    return _lower_star(labels, rank, [a[:, None], edges, triangles], g.values.ravel(), p)
 
 
 def oscillation(t: Triangulation, vertex_values: dict) -> float:

@@ -85,18 +85,17 @@ class FilteredComplex:
         self.__post_init__()
 
     @classmethod
-    def _of_simplices(cls, labels, simplices: list, value, p: int) -> FilteredComplex:
+    def _of_simplices(cls, labels, rank, simplices: list, value, p: int) -> FilteredComplex:
         """The complex of a closed set of simplices on range(len(labels)),
         filled without making ids.  simplices[k] holds the degree-k ones as
         rows of sorted vertex indices in lexicographic order (row i of
         degree 0 is vertex i).  They enter at value(k, facet_values), where
         column t of facet_values is the value of the facet without vertex t
-        (None for vertices); that facet has the sign (-1)^t."""
+        (None for vertices); that facet has the sign (-1)^t.  rank[v] is the
+        place of repr(labels[v]) among the labels' reprs: ties in value break
+        by it, as _order_key breaks them for the label-tuple ids (a tuple's
+        repr orders like its labels' reprs in turn)."""
         n = len(labels)
-        # ties in value break as _order_key breaks them for the label-tuple
-        # ids: a tuple's repr orders like its labels' reprs in turn
-        rank = np.empty(n, np.int64)
-        rank[sorted(range(n), key=[repr(x) for x in labels].__getitem__)] = np.arange(n)
         c = cls.__new__(cls)
         c.p, c._labels, c._blocks, c._vertices = p, labels, {}, {}
         keys = [None]    # keys[k]: the sorted lookup keys of degree k (see _index)
@@ -144,12 +143,19 @@ class FilteredComplex:
             sub = np.repeat(below.indptr[b.rows] - end + n, n) + np.arange(end[-1])
             n2 = len(self._block(k - 2).values)
             key = np.repeat(cols, n) * n2 + below.rows[sub]
-            order = np.argsort(key, kind="stable")    # fast on keys grouped by column
-            key = key[order]
-            dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
-            terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
+            if p == 2:
+                key.sort()
+            else:
+                order = np.argsort(key, kind="stable")    # fast on keys grouped by column
+                key = key[order]
             start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            hit = key[start[np.add.reduceat(terms[order], start) % p != 0]] // n2
+            if p == 2:    # every coefficient is 1, so a key sums to its run length
+                sums = np.diff(start, append=len(key))
+            else:
+                dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
+                terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
+                sums = np.add.reduceat(terms[order], start)
+            hit = key[start[sums % p != 0]] // n2
             dd_fails.update((k, j) for j in hit.tolist())
         if dd_fails:
             ids = {self._cells[k][j].id for k, j in dd_fails}

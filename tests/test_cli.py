@@ -108,6 +108,17 @@ def test_cmd_rejects_non_finite_values(tmp_path, capsys, argv, text):
     assert capsys.readouterr().err.startswith(err)
 
 
+def test_cmd_rips_overflowing_difference_prints_only_the_error(tmp_path):
+    # 1e308 - (-1e308) overflows in the subtraction itself, before any square
+    csv = tmp_path / "in.csv"
+    csv.write_text("1e308 1e308\n-1e308 -1e308\n")
+    src = os.path.dirname(os.path.dirname(persimod.cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "persimod.cli", "rips", str(csv)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stderr == "error: distances must be finite\n"
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_main_reports_resource_errors(monkeypatch, capsys, exc):
     def run_out(args):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import persimod.complexes
 from persimod.barcode import Bar, Barcode, bottleneck_distance, nu
 from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
                                 Triangulation, cech_barcode, cech_complex,
@@ -15,7 +16,7 @@ from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
                                 parse_point_cloud, regular_polygon_points,
                                 rips_barcode, rips_complex,
                                 sublevel_filtration, torus_grid_complex,
-                                tree_metric_net)
+                                tree_metric_net, _nerve)
 from persimod.filtered_complex import (FilteredComplex, InvalidComplexError,
                                        barcode_of_complex)
 
@@ -343,12 +344,38 @@ def test_cech_matches_max_face_ball():
         assert cell_table(cech_complex(PointCloud(pts), 2)) == want
 
 
-def test_torus_matches_sublevel_of_grid_triangulation():
+def test_torus_matches_sublevel_of_grid_triangulation(monkeypatch):
     rng = np.random.default_rng(23)
-    for nx, ny in ((4, 4), (5, 7), (6, 4)):
-        g = GridFunction(rng.choice([0.0, -0.0, 1.0, 0.5, -2.0], size=(nx, ny)))
-        assert cell_table(torus_grid_complex(g)) == \
-            cell_table(sublevel_filtration(*grid_triangulation(g)))
+    grids = [GridFunction(rng.choice([0.0, -0.0, 1.0, 0.5, -2.0], size=shape))
+             for shape in ((4, 4), (5, 7), (6, 4), (11, 4), (4, 12), (10, 13))]
+    sublevels = [sublevel_filtration(*grid_triangulation(g)) for g in grids]
+
+    def torus_matches():
+        # the cells of each degree in reduction order, which breaks ties in value by id
+        tori = [torus_grid_complex(g) for g in grids]
+        return all(t.cells_of_degree(k) == c.cells_of_degree(k)
+                   for t, c in zip(tori, sublevels) for k in range(3))
+
+    assert torus_matches()
+    # ids order by repr, so (0, 10) comes before (0, 2): a numeric rank fails
+    monkeypatch.setattr(persimod.complexes, "_repr_rank", lambda labels: np.arange(len(labels)))
+    assert not torus_matches()
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_nerve_enumerates_subsets_as_combinations(n):
+    for max_dim in range(n + 3):
+        seen = []
+
+        def own(rows):
+            seen.append(rows.tolist())
+            return np.zeros(len(rows))
+
+        c = _nerve(n, max_dim, own, 2)
+        top = min(max_dim, n - 1)
+        assert seen == [[list(s) for s in itertools.combinations(range(n), k + 1)]
+                        for k in range(1, top + 1)]
+        assert c.max_degree == top
 
 
 def test_circle_matches_sublevel_of_cycle():
@@ -380,8 +407,8 @@ def test_built_complex_checks_its_arrays():
         return np.array([0.0, 5.0]) if k == 0 else np.array([1.0])
 
     with pytest.raises(InvalidComplexError, match=r"filtration increases along boundary of \(0, 1\)"):
-        FilteredComplex._of_simplices(range(2), [np.array([[0], [1]]), np.array([[0, 1]])],
-                                      value, 2)
+        FilteredComplex._of_simplices(range(2), np.arange(2),
+                                      [np.array([[0], [1]]), np.array([[0, 1]])], value, 2)
 
 
 def test_entry_values_keep_the_zero_sign_of_python_max():

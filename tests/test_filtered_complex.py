@@ -41,9 +41,24 @@ def hollow_triangle():
 
 
 def test_validation_dd_zero():
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match=re.escape("d(d(c)) != 0")):
         FilteredComplex([Cell("a", 0, 0), Cell("b", 1, 1), Cell("c", 2, 2)],
                         {"a": {}, "b": {"a": 1}, "c": {"b": 1}})
+
+
+@pytest.mark.parametrize("hits", [1, 2, 3, 4])
+def test_validation_dd_zero_over_f2_counts_hits_by_parity(hits):
+    # t's boundary is `hits` parallel edges from a to b, so d(d(t)) = hits * (a + b);
+    # u hits a and b twice in every case, and 3 = 1 over F_2
+    edges = {f"e{i}": {"a": 1, "b": 3} for i in range(4)}
+    cells = ([Cell("a", 0, 0), Cell("b", 0, 0)] + [Cell(e, 1, 1) for e in edges]
+             + [Cell("t", 2, 2), Cell("u", 2, 2)])
+    boundary = {**edges, "t": {f"e{i}": 1 for i in range(hits)}, "u": {"e2": 1, "e3": 3}}
+    if hits % 2:
+        with pytest.raises(InvalidComplexError, match=re.escape("d(d(t)) != 0")):
+            FilteredComplex(cells, boundary, 2)
+    else:
+        FilteredComplex(cells, boundary, 2)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
