@@ -208,16 +208,22 @@ def meb_radius(points) -> float:
     n, dim = pts.shape
     if dim > 4:
         raise ValueError("minimal enclosing ball supported up to dimension 4")
+    # the slack absorbs rounding in the circumcenter solve, which grows
+    # with the size of the coordinates
+    slack = 1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0)))
     best = INF
-    for r in range(1, min(n, dim + 1) + 1):
-        for support in itertools.combinations(range(n), r):
-            center = _circumcenter(pts[list(support)])
-            if center is None:
-                continue
-            radius = float(np.linalg.norm(pts[list(support)[0]] - center))
-            # the slack absorbs rounding in the circumcenter solve
-            if np.all(np.linalg.norm(pts - center, axis=1) <= radius + 1e-12):
-                best = min(best, radius)
+    # squares past the float range become inf or nan, and fail the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, min(n, dim + 1) + 1):
+            for support in itertools.combinations(range(n), r):
+                center = _circumcenter(pts[list(support)])
+                if center is None:
+                    continue
+                radius = float(np.linalg.norm(pts[list(support)[0]] - center))
+                if np.all(np.linalg.norm(pts - center, axis=1) <= radius + slack):
+                    best = min(best, radius)
+    if not math.isfinite(best):
+        raise ValueError("enclosing ball radii must be finite")
     return best
 
 

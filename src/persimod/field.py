@@ -155,9 +155,7 @@ def _unpack_rows(rows: list[int], n_cols: int) -> np.ndarray:
 
 def rank(m: np.ndarray, p: int = DEFAULT_P) -> int:
     """Rank over F_p via Gaussian elimination."""
-    if m.size == 0:
-        return 0
-    return len(row_echelon(m, p)[1])
+    return len(pivot_columns(m, p))
 
 
 def in_span(v: np.ndarray, m: np.ndarray, p: int = DEFAULT_P) -> bool:
@@ -168,7 +166,7 @@ def in_span(v: np.ndarray, m: np.ndarray, p: int = DEFAULT_P) -> bool:
     if not v.any():
         return True
     # v is outside the span iff it adds a pivot, which can only be the last column
-    pivots = row_echelon(np.hstack([m, v.reshape(-1, 1)]), p)[1]
+    pivots = pivot_columns(np.hstack([m, v.reshape(-1, 1)]), p)
     return not pivots or pivots[-1] < m.shape[1]
 
 
@@ -191,8 +189,7 @@ def column_space_basis(m: np.ndarray, p: int = DEFAULT_P) -> np.ndarray:
     """Deterministic basis of the column space (pivot columns of m)."""
     if m.size == 0:
         return zeros(m.shape[0], 0)
-    _, pivots = row_echelon(m, p)
-    return m[:, pivots].copy()
+    return m[:, pivot_columns(m, p)]
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int = DEFAULT_P) -> np.ndarray:
@@ -221,3 +218,13 @@ def coordinates_in_basis(basis: np.ndarray, vectors: np.ndarray,
                          p: int = DEFAULT_P) -> np.ndarray:
     """Express *vectors* (columns) in terms of the columns of *basis*."""
     return solve(basis, vectors, p)
+
+
+def pivot_columns(m: np.ndarray, p: int = DEFAULT_P) -> list[int]:
+    """The pivot columns of row_echelon(m, p), without building R."""
+    r = np.mod(np.asarray(m, dtype=np.int64), p)
+    if r.size == 0:
+        return []
+    if p == 2:
+        return _eliminate_gf2(_pack_rows(r))
+    return _eliminate_fp(r.tolist(), p)

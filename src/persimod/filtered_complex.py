@@ -500,7 +500,7 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
             # alphas are exactly these differences, so compare the same way
             target = image[:, cell_level - lam <= alpha]
             # inter lies in the span of target iff none of its columns is a pivot
-            pivots = ff.row_echelon(np.hstack([target, inter]), p)[1]
+            pivots = ff.pivot_columns(np.hstack([target, inter]), p)
             if pivots and pivots[-1] >= target.shape[1]:
                 return False
         return True
@@ -518,23 +518,36 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
 
     The representatives complete the boundary basis to a basis of the
     cycle space; homology_module and the equivariant machinery both rely
-    on this exact basis choice.
+    on this exact basis choice.  A level at which no cell of degree k or
+    k+1 enters repeats the previous level's slice object.
     """
     p = c.p
-    values = [c._block(k).values.tolist() for k in (degree - 1, degree, degree + 1)]
+    values = [c._block(k).values.tolist() for k in (degree, degree + 1)]
     d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
-    out = []
+    # faces enter no later than their cells, so the rows of d_k[:, :n_k]
+    # past the faces entered are zero, and a reduced row-echelon form
+    # restricts to column prefixes: each level's cycle basis is the corner
+    # of one kernel basis on the free columns below n_k
+    kernel = ff.kernel_basis(d_k, p)
+    # the basis vector of free column f ends with its 1 at row f
+    free = [int(np.flatnonzero(col)[-1]) for col in kernel.T]
+    out, seen = [], None
     for level in c.filtration_values():
         # values ascend within a degree, so each level selects a prefix
-        n_km1, n_k, n_kp1 = (bisect.bisect_right(v, level) for v in values)
+        n_k, n_kp1 = (bisect.bisect_right(v, level) for v in values)
+        if (n_k, n_kp1) == seen:
+            # no cell of degree k or k+1 entered: the slice is unchanged
+            out.append(out[-1])
+            continue
+        seen = n_k, n_kp1
         if not n_k:
             out.append((ff.zeros(0, 0), ff.zeros(0, 0)))
             continue
-        cycles = ff.kernel_basis(d_k[:n_km1, :n_k], p)
+        cycles = kernel[:n_k, :bisect.bisect_left(free, n_k)]
         bnd = d_kp1[:n_k, :n_kp1]
         # a column is a pivot of [bnd | cycles] exactly when it lies outside
         # the span of the columns before it
-        piv = np.array(ff.row_echelon(np.hstack([bnd, cycles]), p)[1], dtype=int)
+        piv = np.array(ff.pivot_columns(np.hstack([bnd, cycles]), p), dtype=int)
         nb = bnd.shape[1]
         out.append((cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]]))
     return out
@@ -559,6 +572,11 @@ def _module_of_slices(c: FilteredComplex, slices) -> ModuleRep:
     """The homology module in the bases homology_slice_bases chose."""
     maps, prev = [], ff.zeros(0, 0)
     for reps, bnd in slices:
+        if reps is prev:
+            # a repeated slice: [bnd | reps] has independent columns, so
+            # each class has a unit vector of coordinates
+            maps.append(ff.eye(reps.shape[1]))
+            continue
         # the cells of a level are a prefix of those of the next one
         lift = ff.zeros(reps.shape[0], prev.shape[1])
         lift[:prev.shape[0]] = prev

@@ -97,33 +97,41 @@ def barcode(v: ModuleRep) -> Barcode:
     the input was not a persistence module.
     """
     n1 = len(v.dims)
-    b = {}
-    for i in range(1, n1 + 1):
+    identity = [np.array_equal(m, ff.eye(len(m))) for m in v.maps]
+    # b[i, j] = rank p_{i,j}, zero outside 1 <= i <= j <= N+1
+    b = np.zeros((n1 + 2, n1 + 2), dtype=np.int64)
+    for i in range(n1, 0, -1):
+        if i < n1 and identity[i - 1]:
+            # p_i is the identity, so p_{i,j} = p_{i+1,j}
+            b[i] = b[i + 1]
+            b[i, i] = v.dims[i - 1]
+            continue
+        # m is a column basis of the image of p_{i,j}
         m = ff.eye(v.dims[i - 1])
-        b[(i, i)] = v.dims[i - 1]
+        b[i, i] = v.dims[i - 1]
         for j in range(i + 1, n1 + 1):
-            if not b[(i, j - 1)]:
+            if not b[i, j - 1]:
                 # p_{i,j-1} = 0, and every later composite factors through it
-                b.update({(i, k): 0 for k in range(j, n1 + 1)})
                 break
+            if identity[j - 2]:
+                b[i, j] = b[i, j - 1]
+                continue
             m = ff.matmul(v.maps[j - 2], m, v.p)
-            b[(i, j)] = ff.rank(m, v.p)
+            m = m[:, ff.pivot_columns(m, v.p)]
+            b[i, j] = m.shape[1]
 
-    def bval(i: int, j: int) -> int:
-        if i < 1 or j > n1 or j < i:
-            return 0
-        return b[(i, j)]
-
+    # mult[i, j - 1] = m_ij for 0 <= i < j <= N+1
+    mult = np.triu(b[1:-1, 1:-1] + b[:-2, 2:] - b[:-2, 1:-1] - b[1:-1, 2:])
     endpoints = [-INF] + list(v.spectrum) + [INF]
+    negative = np.argwhere(mult < 0)
+    if len(negative):
+        i, j = negative[0].tolist()
+        raise InconsistentModuleError(
+            f"negative multiplicity {int(mult[i, j])} for interval "
+            f"({endpoints[i]}, {endpoints[j + 1]}]")
     bars = []
-    for i in range(0, n1):
-        for j in range(i + 1, n1 + 1):
-            mult = bval(i + 1, j) + bval(i, j + 1) - bval(i, j) - bval(i + 1, j + 1)
-            if mult < 0:
-                raise InconsistentModuleError(
-                    f"negative multiplicity {mult} for interval "
-                    f"({endpoints[i]}, {endpoints[j]}]")
-            bars.extend([Bar(endpoints[i], endpoints[j])] * mult)
+    for i, j in np.argwhere(mult).tolist():
+        bars.extend([Bar(endpoints[i], endpoints[j + 1])] * int(mult[i, j]))
     return Barcode(sorted(bars, key=Bar._key))
 
 
@@ -498,7 +506,12 @@ def characteristic_exponent_spectrum(v: ModuleRep) -> list[float]:
     endpoints = [-INF] + list(v.spectrum)
     # rank of p_{i,inf} counts classes alive from Q_i on; differences give
     # the number of infinite bars born exactly at a_{i-1}
-    ranks = [ff.rank(v.composite(i, n1), v.p) for i in range(1, n1 + 1)]
+    r = ff.eye(v.dims[-1])
+    ranks = [ff.rank(r, v.p)]
+    for m in reversed(v.maps):
+        r = ff.matmul(r, m, v.p)    # p_{i,inf} = p_{i+1,inf} p_i
+        ranks.append(ff.rank(r, v.p))
+    ranks.reverse()
     values: list[float] = []
     for i in range(n1):
         values.extend([endpoints[i]] * (ranks[i] - (ranks[i - 1] if i else 0)))

@@ -119,6 +119,16 @@ def test_cmd_rips_overflowing_difference_prints_only_the_error(tmp_path):
     assert proc.stderr == "error: distances must be finite\n"
 
 
+def test_cmd_cech_overflowing_radius_prints_only_the_error(tmp_path):
+    csv = tmp_path / "in.csv"
+    csv.write_text("1e200 0\n-1e200 0\n0 1e200\n")
+    src = os.path.dirname(os.path.dirname(persimod.cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "persimod.cli", "cech", str(csv)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enclosing ball radii must be finite\n"
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_main_reports_resource_errors(monkeypatch, capsys, exc):
     def run_out(args):

@@ -102,6 +102,19 @@ def test_meb_examples():
         meb_radius(np.zeros((2, 5)))
 
 
+def test_meb_radius_at_large_coordinates():
+    # rounding in the circumcenter grows with the coordinates, past any
+    # fixed slack: these two points once had no enclosing ball at all
+    pts = np.array([[-157645.59297294688, 14732.436432418597],
+                    [-82456.78819804404, 130483.55415439373]])
+    half = np.linalg.norm(pts[0] - pts[1]) / 2
+    for scale in (1.0, 1e5, 1e140):
+        assert meb_radius(pts * scale) == pytest.approx(half * scale, rel=1e-12)
+    # squares past the float range: refused, not an infinite radius
+    with pytest.raises(ValueError, match="enclosing ball radii must be finite"):
+        meb_radius(pts * 1e200)
+
+
 def test_meb_equilateral_circumradius():
     s = 1.7
     pts = np.array([[0, 0], [s, 0], [s / 2, s * S3 / 2]])

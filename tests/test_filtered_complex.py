@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import pickle
@@ -293,6 +294,50 @@ def test_homology_slice_bases_match_rank_selection(p):
                 assert w_sel == list(range(len(w_sel))) and g_reps.shape[0] == len(w_sel)
                 assert g_reps.shape == w_reps.shape and np.array_equal(g_reps, w_reps)
                 assert g_bnd.shape == w_bnd.shape and np.array_equal(g_bnd, w_bnd)
+
+
+def module_by_levels(c, degree):
+    """Reference: homology_module with one kernel_basis, one row_echelon and
+    one solve at every level, repeated levels included."""
+    p = c.p
+    values = [c._block(k).values.tolist() for k in (degree - 1, degree, degree + 1)]
+    d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
+    dims, maps, prev = [0], [], ff.zeros(0, 0)
+    for level in c.filtration_values():
+        n_km1, n_k, n_kp1 = (bisect.bisect_right(v, level) for v in values)
+        reps = bnd = ff.zeros(0, 0)
+        if n_k:
+            cycles = ff.kernel_basis(d_k[:n_km1, :n_k], p)
+            bnd = d_kp1[:n_k, :n_kp1]
+            piv = np.array(ff.row_echelon(np.hstack([bnd, cycles]), p)[1], dtype=int)
+            nb = bnd.shape[1]
+            reps, bnd = cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]]
+        lift = ff.zeros(reps.shape[0], prev.shape[1])
+        lift[:prev.shape[0]] = prev
+        if reps.shape[1] and lift.shape[1]:
+            maps.append(ff.solve(np.hstack([bnd, reps]), lift, p)[bnd.shape[1]:, :])
+        else:
+            maps.append(ff.zeros(reps.shape[1], lift.shape[1]))
+        dims.append(reps.shape[1])
+        prev = reps
+    return dims, maps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_homology_module_matches_the_level_by_level_build(p):
+    rng = random.Random(70 + p)
+    for t in range(40):
+        c = random_filtered_complex(rng, max_cells=30, max_degree=3, p=p)
+        if t % 2:
+            # whole-number values: many cells of every degree enter together
+            c = FilteredComplex([Cell(x.id, x.degree, float(math.floor(x.value)))
+                                 for x in c.cells], c.boundary, p)
+        for degree in range(c.max_degree + 2):
+            got = homology_module(c, degree)
+            dims, maps = module_by_levels(c, degree)
+            assert got.spectrum == c.filtration_values() and got.dims == dims
+            assert [(m.dtype, m.shape, m.tobytes()) for m in got.maps] == \
+                [(m.dtype, m.shape, m.tobytes()) for m in maps]
 
 
 @pytest.mark.parametrize("p", [2, 5])

@@ -88,14 +88,14 @@ def rebased(v: ModuleRep, rng: np.random.Generator) -> ModuleRep:
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_barcode_stops_at_the_first_zero_composite(p, monkeypatch):
-    calls = [0]
-    rank = ff.rank
+    widths = []
+    pivot_columns = ff.pivot_columns
 
-    def counted_rank(m, q):
-        calls[0] += 1
-        return rank(m, q)
+    def counted(m, q):
+        widths.append(m.shape[1])
+        return pivot_columns(m, q)
 
-    monkeypatch.setattr(ff, "rank", counted_rank)
+    monkeypatch.setattr(ff, "pivot_columns", counted)
     rng, nprng = random.Random(p), np.random.default_rng(p)
     for _ in range(60):
         b, c = short_bars(rng), short_bars(rng)
@@ -103,12 +103,118 @@ def test_barcode_stops_at_the_first_zero_composite(p, monkeypatch):
                         (Barcode(b.bars + c.bars), direct_sum(from_barcode(b, p), from_barcode(c, p)))):
             v = rebased(v, nprng)
             n1 = len(v.dims)
-            # p_{i,j} is multiplied out and ranked only while p_{i,j-1} is nonzero
+            # p_{i,j} was multiplied out and ranked only while p_{i,j-1} is nonzero
             ranked = sum(rank_invariant(v, i, j - 1) > 0
                          for i in range(1, n1 + 1) for j in range(i + 1, n1 + 1))
-            calls[0] = 0
+            widths.clear()
             assert barcode(v) == want
-            assert calls[0] == ranked
+            # each elimination starts from a nonzero image, and there are no more of them
+            assert all(widths) and len(widths) <= ranked
+
+
+def barcode_by_double_loop(v: ModuleRep) -> Barcode:
+    """Reference: barcode as it was before identity maps were skipped and
+    the multiplicities became one array, with a dict of ranks, a double loop
+    over the intervals and bval for the indices out of range."""
+    n1 = len(v.dims)
+    b = {}
+    for i in range(1, n1 + 1):
+        m = ff.eye(v.dims[i - 1])
+        b[(i, i)] = v.dims[i - 1]
+        for j in range(i + 1, n1 + 1):
+            if not b[(i, j - 1)]:
+                b.update({(i, k): 0 for k in range(j, n1 + 1)})
+                break
+            m = ff.matmul(v.maps[j - 2], m, v.p)
+            b[(i, j)] = ff.rank(m, v.p)
+
+    def bval(i: int, j: int) -> int:
+        if i < 1 or j > n1 or j < i:
+            return 0
+        return b[(i, j)]
+
+    endpoints = [-INF] + list(v.spectrum) + [INF]
+    bars = []
+    for i in range(0, n1):
+        for j in range(i + 1, n1 + 1):
+            mult = bval(i + 1, j) + bval(i, j + 1) - bval(i, j) - bval(i + 1, j + 1)
+            if mult < 0:
+                raise MR.InconsistentModuleError(
+                    f"negative multiplicity {mult} for interval "
+                    f"({endpoints[i]}, {endpoints[j]}]")
+            bars.extend([Bar(endpoints[i], endpoints[j])] * mult)
+    return Barcode(sorted(bars, key=Bar._key))
+
+
+def random_module(rng: np.random.Generator, p: int) -> ModuleRep:
+    """Dense, sparse or zero maps between spaces of dimension 0 to 3; one
+    module in three is refined, so identity maps sit among the others."""
+    spectrum = sorted(set(np.round(rng.uniform(0, 10, rng.integers(0, 8)), 1).tolist()))
+    dims = rng.integers(0, 4, len(spectrum) + 1).tolist()
+    density = rng.choice([0.0, 0.3, 1.0])
+    maps = [(rng.integers(0, p, (dims[i + 1], dims[i]))
+             * (rng.random((dims[i + 1], dims[i])) < density)) for i in range(len(spectrum))]
+    v = ModuleRep(spectrum, dims, maps, p)
+    if rng.random() < 1 / 3:
+        v = refine_to(v, np.round(rng.uniform(-1, 11, rng.integers(1, 6)), 2).tolist())
+    return v
+
+
+def claim_a_smaller_space(v: ModuleRep, rng: np.random.Generator):
+    """v with one dims entry lowered below the space its maps act on, where
+    neither neighbouring map is an identity (the rank data then breaks the
+    module axioms when a map into that space is nonzero); None if no entry
+    qualifies.  Only dims changes, so no product meets a mismatched shape:
+    an inner space drops to 0 (its row of ranks stops at once), the last
+    one to any smaller size."""
+    n1 = len(v.dims)
+
+    def plain(k):
+        return not 0 <= k < len(v.maps) or not np.array_equal(v.maps[k], ff.eye(len(v.maps[k])))
+
+    spots = [i for i in range(1, n1 + 1) if v.dims[i - 1] and plain(i - 1) and plain(i - 2)]
+    if not spots:
+        return None
+    i = int(rng.choice(spots))
+    w = ModuleRep(list(v.spectrum), list(v.dims), [m.copy() for m in v.maps], v.p)
+    w.dims[i - 1] = int(rng.integers(0, v.dims[i - 1])) if i == n1 else 0
+    return w
+
+
+def barcode_or_error(f, v):
+    try:
+        return f(v)
+    except MR.InconsistentModuleError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_barcode_matches_the_double_loop(p):
+    rng = np.random.default_rng(60 + p)
+    raised = identities = 0
+    for _ in range(300):
+        v = random_module(rng, p)
+        identities += sum(len(m) > 0 and np.array_equal(m, ff.eye(len(m))) for m in v.maps)
+        assert barcode(v) == barcode_by_double_loop(v)
+        w = claim_a_smaller_space(v, rng)
+        if w is not None:
+            got = barcode_or_error(barcode, w)
+            assert got == barcode_or_error(barcode_by_double_loop, w)
+            raised += isinstance(got, str)
+    assert raised > 20 and identities > 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_characteristic_exponent_spectrum_matches_composites(p):
+    rng = np.random.default_rng(80 + p)
+    for _ in range(200):
+        v = random_module(rng, p)
+        n1, endpoints = len(v.dims), [-INF] + list(v.spectrum)
+        # reference: each p_{i,inf} multiplied out from scratch
+        ranks = [ff.rank(v.composite(i, n1), p) for i in range(1, n1 + 1)]
+        want = sorted(e for i, e in enumerate(endpoints)
+                      for _ in range(ranks[i] - (ranks[i - 1] if i else 0)))
+        assert characteristic_exponent_spectrum(v) == want
 
 
 def test_rank_invariant_single_ray():
