@@ -475,86 +475,65 @@ def infinite_endpoint_spectrum(b: Barcode) -> list[float]:
     return sorted(bar.birth for bar in b.bars if bar.death == INF)
 
 
-def _mu_candidate_cs(b: Barcode) -> list[float]:
-    ends = b.finite_endpoints()
-    cands = {0.0}
-    for e1 in ends:
-        for e2 in ends:
-            d = e1 - e2
-            if d > 0:
-                cands.add(d / 2)
-                cands.add(d / 4)
-    return sorted(cands)
+def _corner_windows(b: Barcode) -> tuple[np.ndarray, np.ndarray]:
+    """Covering counts and caps of the windows (x, y], x a birth and y a death.
 
-
-def _mu_feasible(b: Barcode, k: int, c: float) -> bool:
-    """Is there a window I, len > 4c, with exactly k bars over I and over
-    the 2c-shrink of I?
-
-    The admissible (x, y) region is a union of half-open boxes whose
-    closed corners have x in {births} u {births - 2c} and y in
-    {deaths} u {deaths + 2c}; sentinels far below/above all finite
-    endpoints stand in for the unbounded window regimes that appear once
-    the barcode has rays or bars born at -inf.
+    Returns two (xs, ys) arrays over the distinct births xs and deaths ys:
+    how many bars cover (x, y], and the cap min((y - x)/4, min over the
+    bars not covering it of max(b - x, y - d)/2), the supremal c whose
+    2c-shrink no further bar covers.  Every window of a given covering
+    set S widens to (latest birth in S, earliest death in S] without
+    gaining a bar and without lowering its cap, so these corner windows
+    attain mu_k.  A gap between equal endpoints is -inf: that end of the
+    bar never leaves the shrink, which also covers -inf births and +inf
+    deaths.
     """
-    ends = b.finite_endpoints()
-    lo = (min(ends) if ends else 0.0) - 4 * c - 1.0
-    hi = (max(ends) if ends else 0.0) + 4 * c + 1.0
-    births = {bar.birth for bar in b.bars if bar.birth > -INF}
-    deaths = {bar.death for bar in b.bars if bar.death < INF}
-    xs = np.array(sorted({lo} | births | {v - 2 * c for v in births}))
-    ys = np.array(sorted({hi} | deaths | {v + 2 * c for v in deaths}))
-    all_b = np.array([bar.birth for bar in b.bars])
-    all_d = np.array([bar.death for bar in b.bars])
-    cov_x = all_b[:, None] <= xs[None, :]            # (bars, xs)
-    cov_y = all_d[:, None] >= ys[None, :]            # (bars, ys)
-    m_outer = np.einsum("bx,by->xy", cov_x.astype(np.int32), cov_y.astype(np.int32))
-    cov_x2 = all_b[:, None] <= (xs + 2 * c)[None, :]
-    cov_y2 = all_d[:, None] >= (ys - 2 * c)[None, :]
-    m_inner = np.einsum("bx,by->xy", cov_x2.astype(np.int32), cov_y2.astype(np.int32))
-    long_enough = ys[None, :] - xs[:, None] > 4 * c
-    return bool(np.any((m_outer == k) & (m_inner == k) & long_enough))
+    births = np.array([bar.birth for bar in b.bars])
+    deaths = np.array([bar.death for bar in b.bars])
+    xs = np.array(sorted({bar.birth for bar in b.bars}))
+    ys = np.array(sorted({bar.death for bar in b.bars}))
+    with np.errstate(invalid="ignore"):
+        gap_d = np.where(deaths[:, None] == ys, -INF, ys - deaths[:, None])    # (bars, ys)
+    covers_y = deaths[:, None] >= ys
+    counts = np.empty((xs.size, ys.size), dtype=np.int64)
+    caps = np.empty((xs.size, ys.size))
+    chunk = max(1, int(2e6 // max(1, births.size * ys.size)))
+    for start in range(0, xs.size, chunk):
+        x = xs[start:start + chunk]
+        with np.errstate(invalid="ignore"):
+            gap_b = np.where(births[:, None] == x, -INF, births[:, None] - x)    # (bars, cx)
+        covers_x = births[:, None] <= x
+        inside = covers_x[:, :, None] & covers_y[:, None, :]                     # (bars, cx, ys)
+        counts[start:start + chunk] = inside.sum(axis=0)
+        thr = np.maximum(gap_b[:, :, None], gap_d[:, None, :]) / 2
+        thr[inside] = INF
+        caps[start:start + chunk] = np.minimum((ys - x[:, None]) / 4, thr.min(axis=0))
+    return counts, caps
+
+
+def _best_cap(caps: np.ndarray) -> float:
+    """Largest cap, or +0.0 when none is above 0."""
+    return max(0.0, float(caps.max(initial=0.0)))
 
 
 def multiplicity_function(b: Barcode, k: int) -> float:
     """mu_k: supremum of c admitting a window of length > 4c with exactly
     k bars over it and over its 2c-shrink; 0 when no window exists.
 
-    Every binding cap is a half or quarter difference of finite
-    endpoints, so the sup is a candidate cands[i]: the top candidate if
-    it is feasible itself, otherwise the cands[i] with the largest i
-    whose midpoint (cands[i-1] + cands[i]) / 2 is feasible (0 when none
-    is).  Feasibility is downward closed in c, so the midpoints are
-    feasible up to that i and infeasible past it, and a bisection over
-    them finds it in O(log E) probes.  The sup is +inf exactly when
-    feasibility survives past every cap (all caps exhausted, e.g. a
-    barcode of k full lines).
+    A window admits exactly the c below its cap, so mu_k is the largest
+    cap among the corner windows covered by exactly k bars; it is +inf
+    when such a window has no cap (e.g. a barcode of k full lines).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(b.bars) < k:
-        return 0.0
-    if not _mu_feasible(b, k, 0.0):
-        return 0.0
-    cands = _mu_candidate_cs(b)
-    if _mu_feasible(b, k, cands[-1] + 1.0):
-        return INF
-    if _mu_feasible(b, k, cands[-1]):
-        return cands[-1]
-    # walk the midpoints from the top down, so feasibility runs False ...
-    # False True ... True; cands[0] is 0.0, the answer when none is feasible
-    top = len(cands) - 1
-    return cands[top - bisect.bisect_left(
-        range(top, 0, -1), True,
-        key=lambda i: _mu_feasible(b, k, (cands[i - 1] + cands[i]) / 2))]
+    counts, caps = _corner_windows(b)
+    return _best_cap(caps[counts == k])
 
 
 def mu_odd(b: Barcode) -> float:
     """max over odd k of mu_k."""
-    best = 0.0
-    for k in range(1, len(b.bars) + 1, 2):
-        best = max(best, multiplicity_function(b, k))
-    return best
+    counts, caps = _corner_windows(b)
+    return _best_cap(caps[counts % 2 == 1])
 
 
 GRID_RESOLUTION = 1e-3    # multiplicity_grid_oracle's grid step, as a share of the endpoint span

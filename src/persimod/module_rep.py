@@ -493,10 +493,14 @@ def characteristic_exponent(v: ModuleRep, vector: np.ndarray) -> float:
     if vec.shape[0] != v.dims[-1]:
         raise ValueError("vector must live in the terminal space V_inf")
     endpoints = [-INF] + list(v.spectrum)
-    for i in range(1, n1 + 1):
-        if ff.in_span(vec, v.composite(i, n1), v.p):
-            return endpoints[i - 1]
-    raise AssertionError("unreachable: v is always in the image of identity")
+    # the images of p_{i,inf} grow with i, so walk i down from n1 (the
+    # identity) with a running product until vec leaves the image
+    r = ff.eye(v.dims[-1])
+    for i in range(n1 - 1, 0, -1):
+        r = ff.matmul(r, v.maps[i - 1], v.p)    # p_{i,inf} = p_{i+1,inf} p_i
+        if not ff.in_span(vec, r, v.p):
+            return endpoints[i]
+    return endpoints[0]
 
 
 def characteristic_exponent_spectrum(v: ModuleRep) -> list[float]:

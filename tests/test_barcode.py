@@ -8,8 +8,7 @@ import pytest
 
 from persimod.barcode import (Bar, Barcode, Matching, _cost_matrix,
                               _delta_feasible, _feasible_matching_at,
-                              _mu_candidate_cs, _mu_feasible, bar_match_cost,
-                              beta_k,
+                              bar_match_cost, beta_k,
                               bottleneck_bruteforce, bottleneck_candidates,
                               bottleneck_distance,
                               boundary_depth, ell, infinite_endpoint_spectrum,
@@ -312,6 +311,47 @@ def proper_barcode(rng, max_bars):
     return Barcode(bars)
 
 
+def _mu_candidate_cs(b: Barcode) -> list[float]:
+    ends = b.finite_endpoints()
+    cands = {0.0}
+    for e1 in ends:
+        for e2 in ends:
+            d = e1 - e2
+            if d > 0:
+                cands.add(d / 2)
+                cands.add(d / 4)
+    return sorted(cands)
+
+
+def _mu_feasible(b: Barcode, k: int, c: float) -> bool:
+    """Is there a window I, len > 4c, with exactly k bars over I and over
+    the 2c-shrink of I?
+
+    The admissible (x, y) region is a union of half-open boxes whose
+    closed corners have x in {births} u {births - 2c} and y in
+    {deaths} u {deaths + 2c}; sentinels far below/above all finite
+    endpoints stand in for the unbounded window regimes that appear once
+    the barcode has rays or bars born at -inf.
+    """
+    ends = b.finite_endpoints()
+    lo = (min(ends) if ends else 0.0) - 4 * c - 1.0
+    hi = (max(ends) if ends else 0.0) + 4 * c + 1.0
+    births = {bar.birth for bar in b.bars if bar.birth > -INF}
+    deaths = {bar.death for bar in b.bars if bar.death < INF}
+    xs = np.array(sorted({lo} | births | {v - 2 * c for v in births}))
+    ys = np.array(sorted({hi} | deaths | {v + 2 * c for v in deaths}))
+    all_b = np.array([bar.birth for bar in b.bars])
+    all_d = np.array([bar.death for bar in b.bars])
+    cov_x = all_b[:, None] <= xs[None, :]            # (bars, xs)
+    cov_y = all_d[:, None] >= ys[None, :]            # (bars, ys)
+    m_outer = np.einsum("bx,by->xy", cov_x.astype(np.int32), cov_y.astype(np.int32))
+    cov_x2 = all_b[:, None] <= (xs + 2 * c)[None, :]
+    cov_y2 = all_d[:, None] >= (ys - 2 * c)[None, :]
+    m_inner = np.einsum("bx,by->xy", cov_x2.astype(np.int32), cov_y2.astype(np.int32))
+    long_enough = ys[None, :] - xs[:, None] > 4 * c
+    return bool(np.any((m_outer == k) & (m_inner == k) & long_enough))
+
+
 def mu_by_midpoint_scan(b, k):
     """mu_k by probing every midpoint between consecutive candidates."""
     if len(b.bars) < k or not _mu_feasible(b, k, 0.0):
@@ -328,12 +368,39 @@ def mu_by_midpoint_scan(b, k):
     return sup
 
 
-def test_mu_bisection_equals_midpoint_scan():
+def test_mu_closed_form_equals_midpoint_scan():
+    # float.hex tells the bits apart, the sign of a zero and inf included
     rng = random.Random(17)
-    for _ in range(60):
-        b = proper_barcode(rng, max_bars=7)
-        for k in (1, 2, 3):
-            assert multiplicity_function(b, k) == mu_by_midpoint_scan(b, k), (b.bars, k)
+    for _ in range(500):
+        b = proper_barcode(rng, max_bars=8)
+        for k in range(1, 7):
+            assert multiplicity_function(b, k).hex() == mu_by_midpoint_scan(b, k).hex(), (b.bars, k)
+
+
+def test_mu_odd_equals_per_odd_k_scan():
+    rng = random.Random(18)
+    for _ in range(150):
+        b = proper_barcode(rng, max_bars=8)
+        want = max([0.0] + [mu_by_midpoint_scan(b, k) for k in range(1, len(b.bars) + 1, 2)])
+        assert mu_odd(b).hex() == want.hex(), b.bars
+
+
+def test_mu_on_a_barcode_too_large_for_one_window_chunk():
+    """160 spread bars and one long bar born last, so the windows split
+    into several chunks of births and mu_1 sits in the last of them.  The
+    midpoint scan is too slow here; probes on both sides pin each value."""
+    rng = random.Random(21)
+    bars = [Bar(b, b + rng.uniform(0.1, 3.0)) for b in (rng.uniform(0, 10) for _ in range(160))]
+    b = Barcode(bars + [Bar(12.0, 40.0)])
+    assert multiplicity_function(b, 1) == 7.0
+    cands = _mu_candidate_cs(b)
+    for k in (1, 2, 3):
+        mu = multiplicity_function(b, k)
+        i = cands.index(mu)
+        assert i > 0 and _mu_feasible(b, k, (cands[i - 1] + mu) / 2), k
+        assert not _mu_feasible(b, k, (mu + cands[i + 1]) / 2), k
+    # no other bar reaches past 13, so no window beats the long bar's
+    assert mu_odd(b) == 7.0
 
 
 def test_bottleneck_candidates_are_finite_costs_and_half_lengths():

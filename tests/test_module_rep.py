@@ -217,6 +217,32 @@ def test_characteristic_exponent_spectrum_matches_composites(p):
         assert characteristic_exponent_spectrum(v) == want
 
 
+def characteristic_exponent_by_composites(v, vec):
+    """The first i with vec in the image of p_{i,inf}, each composite
+    multiplied out from scratch."""
+    n1, endpoints = len(v.dims), [-INF] + list(v.spectrum)
+    for i in range(1, n1 + 1):
+        if ff.in_span(vec, v.composite(i, n1), v.p):
+            return endpoints[i - 1]
+    raise AssertionError("unreachable: v is always in the image of identity")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_characteristic_exponent_matches_composites(p):
+    rng = np.random.default_rng(90 + p)
+    for _ in range(150):
+        v = random_module(rng, p)
+        dim = v.dims[-1]
+        # the zero vector, a random vector, and random combinations of
+        # the columns of p_{i,inf}, which lie in that image
+        vecs = [np.zeros(dim, dtype=np.int64), rng.integers(0, p, dim)]
+        for i in rng.integers(1, len(v.dims) + 1, 3):
+            m = v.composite(int(i), len(v.dims))
+            vecs.append(m @ rng.integers(0, p, m.shape[1]) % p)
+        for vec in vecs:
+            assert characteristic_exponent(v, vec) == characteristic_exponent_by_composites(v, vec)
+
+
 def test_rank_invariant_single_ray():
     v = from_barcode(Barcode([Bar(1.5, INF)]))
     assert rank_invariant(v, 1, 1) == 0
