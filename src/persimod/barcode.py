@@ -158,11 +158,11 @@ def bar_match_cost(i: Bar, j: Bar) -> float:
 def _cost_matrix(b: list[Bar], c: list[Bar]) -> np.ndarray:
     """The len(b) x len(c) matrix of bar_match_cost values, by the same
     rules: 0 for equal endpoints (inf/inf too), inf when exactly one is
-    infinite, the IEEE abs(a - b) otherwise."""
+    infinite, the IEEE abs(a - b) otherwise (inf when it overflows)."""
     def diff(x, y):
         x = np.array(x, dtype=float)[:, None]
         y = np.array(y, dtype=float)[None, :]
-        with np.errstate(invalid="ignore"):          # inf - inf; masked below
+        with np.errstate(invalid="ignore", over="ignore"):   # inf - inf; masked below
             return np.where(x == y, 0.0, np.abs(x - y))
 
     return np.maximum(diff([bar.birth for bar in b], [bar.birth for bar in c]),
@@ -173,7 +173,8 @@ def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool
     """Check the three delta-matching conditions.
 
     (i) every bar of *b* longer than 2*delta is matched, (ii) same for
-    *c*, (iii) every matched pair has cost <= delta.
+    *c*, (iii) every matched pair has cost <= delta.  "Longer" is tested as
+    length / 2 > delta, which no overflow of 2*delta can flip.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -183,10 +184,10 @@ def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool
     matched_left = m.left_indices()
     matched_right = m.right_indices()
     for idx, bar in enumerate(b.bars):
-        if bar.length > 2 * delta and idx not in matched_left:
+        if bar.length / 2 > delta and idx not in matched_left:
             return False
     for idx, bar in enumerate(c.bars):
-        if bar.length > 2 * delta and idx not in matched_right:
+        if bar.length / 2 > delta and idx not in matched_right:
             return False
     return all(bar_match_cost(b.bars[i], c.bars[j]) <= delta for i, j in m.pairs)
 
@@ -255,8 +256,8 @@ def _feasible_matching_at(b: list[Bar], c: list[Bar], delta: float,
     n_b, n_c = len(b), len(c)
     close = cost <= delta
     adj = _neighbours(close)
-    long_b = [i for i in range(n_b) if b[i].length > 2 * delta]
-    long_c = [j for j in range(n_c) if c[j].length > 2 * delta]
+    long_b = [i for i in range(n_b) if b[i].length / 2 > delta]
+    long_c = [j for j in range(n_c) if c[j].length / 2 > delta]
     m1_partner = _augment(long_b, adj, [-1] * n_c)            # c index -> b index
     if m1_partner is None:
         return None
@@ -299,19 +300,33 @@ def _delta_feasible(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray, delt
     a greedy start left unmatched; any start is a matching, so it is exact."""
     close = cost <= delta
     for mask, lengths in ((close, len_b), (close.T, len_c)):
-        adj = _neighbours(mask[np.flatnonzero(lengths > 2 * delta)])
+        adj = _neighbours(mask[np.flatnonzero(lengths / 2 > delta)])
         partner, unmatched = _greedy_start(adj, mask.shape[1])
         if _augment(unmatched, adj, partner) is None:
             return False
     return True
 
 
+def _pool_arrays(b: list[Bar], c: list[Bar]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cost matrix of two bar lists and their float lengths (inf for
+    rays, and for finite bars whose length overflows)."""
+    with np.errstate(over="ignore"):
+        len_b, len_c = (np.array([x.death for x in bars], dtype=float)
+                        - np.array([x.birth for x in bars], dtype=float) for bars in (b, c))
+    return _cost_matrix(b, c), len_b, len_c
+
+
+def _candidates_above(floor: float, cost: np.ndarray, len_b: np.ndarray,
+                      len_c: np.ndarray) -> list[float]:
+    """Sorted distinct finite pair costs and half-lengths above *floor*."""
+    values = np.concatenate([cost.ravel(), len_b / 2, len_c / 2])
+    return np.unique(values[(values > floor) & (values < INF)]).tolist()
+
+
 def bottleneck_candidates(b: Barcode, c: Barcode) -> list[float]:
     """Sorted deltas where feasibility can change: 0, the finite pair
-    costs and the half-lengths of the finite bars."""
-    cost = _cost_matrix(b.bars, c.bars)
-    halves = [bar.length / 2 for bar in itertools.chain(b.bars, c.bars) if bar.finite]
-    return np.unique(np.concatenate([[0.0], cost[cost < INF], halves])).tolist()
+    costs and the finite half-lengths."""
+    return [0.0] + _candidates_above(0.0, *_pool_arrays(b.bars, c.bars))
 
 
 def _ray_signature(bars: Iterable[Bar]) -> tuple[int, int, int]:
@@ -324,11 +339,18 @@ def _ray_signature(bars: Iterable[Bar]) -> tuple[int, int, int]:
 def _bottleneck_single_pool(b: Barcode, c: Barcode) -> float:
     if _ray_signature(b.bars) != _ray_signature(c.bars):
         return INF
-    candidates = bottleneck_candidates(b, c)
-    cost = _cost_matrix(b.bars, c.bars)
-    len_b, len_c = (np.array([x.death for x in bars], dtype=float)
-                    - np.array([x.birth for x in bars], dtype=float) for bars in (b.bars, c.bars))
-    # Largest candidate is always feasible once ray counts agree.
+    cost, len_b, len_c = _pool_arrays(b.bars, c.bars)
+    # Floor: the largest cheapest exit, min(half-length, nearest partner),
+    # over the bars of both sides.  Below it the bar attaining it is
+    # mandatory with no partner in reach, so it is the first candidate
+    # that can be feasible, and often the answer.
+    floor = max(np.minimum(len_b / 2, cost.min(axis=1, initial=INF)).max(initial=0.0),
+                np.minimum(len_c / 2, cost.min(axis=0, initial=INF)).max(initial=0.0)).item()
+    if _delta_feasible(cost, len_b, len_c, floor):
+        return floor
+    # Bisect above the floor; +inf, where no bar is mandatory, closes the
+    # list, since overflowed costs can leave every finite candidate infeasible.
+    candidates = _candidates_above(floor, cost, len_b, len_c) + [INF]
     return candidates[bisect.bisect_left(
         candidates, True, hi=len(candidates) - 1,
         key=lambda delta: _delta_feasible(cost, len_b, len_c, delta))]
@@ -339,7 +361,9 @@ def bottleneck_distance(b: Barcode, c: Barcode) -> float:
 
     The infimum is attained on the finite candidate set of pair costs and
     half-lengths; feasibility at a candidate is a bipartite matching
-    problem.  Returns +inf when infinite-ray counts differ.  If both
+    problem.  Each pool first probes its floor, the largest cheapest exit
+    of a bar, and bisects over the candidates above it only if that probe
+    fails.  Returns +inf when infinite-ray counts differ.  If both
     barcodes are fully degree-tagged the distance is computed per degree
     and combined by maximum, otherwise as a single pool.
     """

@@ -1,13 +1,18 @@
+import bisect
 import dataclasses
+import inspect
 import math
 import pickle
 import random
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from persimod.barcode import (Bar, Barcode, Matching, _cost_matrix,
                               _delta_feasible, _feasible_matching_at,
+                              _greedy_start, _neighbours, _ray_signature,
                               bar_match_cost, beta_k,
                               bottleneck_bruteforce, bottleneck_candidates,
                               bottleneck_distance,
@@ -510,6 +515,122 @@ def test_probe_equals_the_matching_search():
             assert _delta_feasible(cost, len_b, len_c, delta) == want, (b.bars, c.bars, delta)
             checked[want] += 1
     assert min(checked.values()) > 1000
+
+
+def bottleneck_by_full_bisection(b, c):
+    """Oracle: the plain bisection over every candidate of each pool, with
+    no floor probed first; bottleneck_distance must agree bit for bit."""
+    def single_pool(b, c):
+        if _ray_signature(b.bars) != _ray_signature(c.bars):
+            return INF
+        candidates = bottleneck_candidates(b, c)
+        cost = _cost_matrix(b.bars, c.bars)
+        len_b, len_c = (np.array([x.death for x in bars], dtype=float)
+                        - np.array([x.birth for x in bars], dtype=float) for bars in (b.bars, c.bars))
+        # Largest candidate is always feasible once ray counts agree (and no
+        # cost overflows, which probe_pair inputs never do).
+        return candidates[bisect.bisect_left(
+            candidates, True, hi=len(candidates) - 1,
+            key=lambda delta: _delta_feasible(cost, len_b, len_c, delta))]
+
+    if len(b.bars) == 0 and len(c.bars) == 0:
+        return 0.0
+    if b.fully_tagged() and c.fully_tagged():
+        degrees = {bar.degree for bar in b.bars} | {bar.degree for bar in c.bars}
+        return max(single_pool(b.restrict_degree(d), c.restrict_degree(d)) for d in degrees)
+    return single_pool(b.untagged(), c.untagged())
+
+
+def cheapest_exit_floor(b, c):
+    """Largest over the bars of both sides of min(half-length, cost of the
+    nearest bar on the other side)."""
+    exits = [min([bar.length / 2] + [bar_match_cost(bar, other) for other in others])
+             for bars, others in ((b.bars, c.bars), (c.bars, b.bars)) for bar in bars]
+    return max(exits, default=0.0)
+
+
+def test_distance_is_bit_identical_to_the_full_bisection():
+    rng = random.Random(41)
+    tagged = empty = infinite = 0
+    for i in range(2100):
+        b, c = probe_pair(rng)
+        if i % 3 == 1:             # per-degree pools, some empty on one side
+            b, c = (Barcode([Bar(x.birth, x.death, rng.randint(0, 2)) for x in side.bars])
+                    for side in (b, c))
+            tagged += 1
+        elif i % 20 == 2:
+            b, c = (b, Barcode()) if i % 40 == 2 else (Barcode(), c)
+        want, got = bottleneck_by_full_bisection(b, c), bottleneck_distance(b, c)
+        assert type(got) is float and got.hex() == want.hex(), (b.bars, c.bars)
+        empty += not b.bars or not c.bars
+        infinite += got == INF
+    assert tagged >= 700 and empty >= 50 and infinite >= 100
+
+
+def test_no_candidate_below_the_floor_is_feasible():
+    # the floor's bar must be matched below it and has no partner in reach,
+    # so the floor is a lower bound; pools answered by the floor itself and
+    # pools that bisect above it must both occur
+    rng = random.Random(43)
+    at_floor = above = 0
+    for _ in range(40):
+        b, c = probe_pair(rng)
+        if _ray_signature(b.bars) != _ray_signature(c.bars):
+            continue
+        floor = cheapest_exit_floor(b, c)
+        cost = _cost_matrix(b.bars, c.bars)
+        len_b, len_c = (np.array([bar.length for bar in x.bars], dtype=float) for x in (b, c))
+        candidates = bottleneck_candidates(b, c)
+        assert floor in candidates
+        for delta in candidates[:bisect.bisect_left(candidates, floor)]:
+            assert not _delta_feasible(cost, len_b, len_c, delta), (b.bars, c.bars, delta)
+        d = bottleneck_distance(b, c)
+        assert d >= floor
+        at_floor += d == floor
+        above += d > floor
+    assert at_floor >= 5 and above >= 5
+
+
+def test_probe_follows_a_path_as_long_as_the_pool():
+    # row i < n-1 reaches columns i and i+1, row n-1 only column 0: the
+    # greedy start gives row i column i and leaves row n-1 out, and its one
+    # augmenting path runs through every row to the free column n-1 (and
+    # the transpose's, from column n-1 back to row n-1, through every
+    # column); each must cost no interpreter stack depth
+    n = 1500
+    cost = np.full((n, n), 2.0)
+    cost[np.arange(n - 1), np.arange(n - 1)] = cost[np.arange(n - 1), np.arange(1, n)] = 0.0
+    cost[n - 1, 0] = 0.0
+    lengths = np.full(n, 3.0)                    # every bar mandatory at delta 1
+    adj = _neighbours(cost <= 1.0)
+    assert _greedy_start(adj, n)[1] == [n - 1]
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert _delta_feasible(cost, lengths, lengths, 1.0)
+        cost[n - 2, n - 1] = 2.0                 # the free column's one edge
+        assert not _delta_feasible(cost, lengths, lengths, 1.0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+def test_huge_endpoints_warn_nothing_and_match_the_bruteforce():
+    # differences of endpoints near +-1e308 overflow to +inf, which is the
+    # right cost and length; the distance must still be the bruteforce's
+    ends = [-INF, -1e308, -0.6e308, -1.0, 0.0, 0.5e308, 0.9e308, 1e308, INF]
+    rng = random.Random(47)
+    finite = 0
+    for i in range(3000):
+        def side():                    # odd i: every bar tagged degree 1
+            bars = [sorted(rng.sample(ends, 2)) for _ in range(rng.randint(0, 3))]
+            return Barcode([Bar(x, y, i % 2 or None) for x, y in bars if x < INF and y > -INF])
+        b, c = side(), side()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bottleneck_distance(b, c)
+        assert got == bottleneck_bruteforce(b, c), (b.bars, c.bars)
+        finite += got < INF
+    assert finite > 500
 
 
 @pytest.mark.parametrize("b, c, pairs", [

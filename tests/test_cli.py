@@ -153,9 +153,11 @@ def test_cmd_distance(tmp_path, capsys):
 
 
 def test_cmd_distance_many_near_equal_bars(tmp_path, capsys):
-    # on 1500 stacked near-equal bars the probe graphs are dense and
-    # augmenting paths can run about as long as the bar count; they must cost
-    # no interpreter stack depth, and the probes no cubic time
+    # on 1500 stacked near-equal bars the probe graph is dense; the floor,
+    # 0.001, is the answer, and its one probe finds a perfect greedy start,
+    # so no augmenting path runs here (test_barcode's
+    # test_probe_follows_a_path_as_long_as_the_pool runs a 1500-step one
+    # under the same stack limit); the probe must cost no cubic time
     b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
     dump_barcode(Barcode([Bar(0.0, 1 + i * 1e-6) for i in range(1500)]), str(b1))
     dump_barcode(Barcode([Bar(1e-3, 1 + 1e-3 + i * 1e-6) for i in range(1500)]), str(b2))
@@ -166,6 +168,18 @@ def test_cmd_distance_many_near_equal_bars(tmp_path, capsys):
     finally:
         sys.setrecursionlimit(old_limit)
     assert capsys.readouterr().out.strip() == "0.001"
+
+
+def test_cmd_distance_huge_endpoints_print_only_the_distance(tmp_path):
+    # 1e308 - (-1e308) overflows to +inf in costs and lengths, which is the
+    # right value there; no numpy warning may reach stderr
+    b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
+    dump_barcode(Barcode([Bar(-1e308, 1e308), Bar(-1e308, INF)]), str(b1))
+    dump_barcode(Barcode([Bar(-1e308, 0.5e308), Bar(0.0, INF)]), str(b2))
+    src = os.path.dirname(os.path.dirname(persimod.cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "persimod.cli", "distance", str(b1), str(b2)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1e+308\n", "")
 
 
 def test_cmd_invariants(tmp_path, capsys):
