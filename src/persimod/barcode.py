@@ -13,8 +13,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,30 +46,50 @@ class Bar:
     def finite(self) -> bool:
         return self.birth > -INF and self.death < INF
 
-    def shifted(self, delta: float) -> "Bar":
-        b = self.birth if self.birth == -INF else self.birth + delta
-        d = self.death if self.death == INF else self.death + delta
-        return Bar(b, d, self.degree)
+
+UNTAGGED = -1          # the degree array's entry for a bar without a degree
+DEGREE_LIMIT = 2 ** 31  # degrees are 0 .. DEGREE_LIMIT - 1, so none is UNTAGGED
 
 
 class Barcode:
-    """Finite multiset of bars, stored as a list; one made by _of_columns
-    makes its bars from sorted columns when bars is first read."""
+    """Finite multiset of bars, held as three arrays in bar order: float64
+    births and deaths, and int64 degrees (UNTAGGED for a bar without one).
+    bars is a view of them: the list given to Barcode(bars), or made from
+    the arrays when first read."""
 
     def __init__(self, bars: Optional[list[Bar]] = None):
-        self.bars = [] if bars is None else bars
+        bars = [] if bars is None else bars
+        tags = [bar.degree for bar in bars]
+        for i, d in enumerate(tags):
+            if d is not None and not 0 <= d < DEGREE_LIMIT:
+                raise ValueError(f"bar {i}: degree {d} is outside 0 .. {DEGREE_LIMIT - 1}")
+        self._fill(np.array([bar.birth for bar in bars], dtype=float),
+                   np.array([bar.death for bar in bars], dtype=float),
+                   np.array([UNTAGGED if d is None else d for d in tags], dtype=np.int64), bars)
 
     @classmethod
     def _of_columns(cls, birth: np.ndarray, death: np.ndarray, degree: np.ndarray) -> Barcode:
         for i in np.flatnonzero(~(birth < death))[:1].tolist():
             Bar(birth[i].item(), death[i].item())    # raises the error a Bar raises
-        out = cls.__new__(cls)
-        out._columns = birth, death, degree
-        return out
+        return cls.__new__(cls)._fill(birth, death, degree, None)
 
-    @cached_property
+    def _fill(self, birth: np.ndarray, death: np.ndarray, degree: np.ndarray,
+              bars: Optional[list[Bar]]) -> Barcode:
+        self.births, self.deaths, self.degrees, self._bars = birth, death, degree, bars
+        return self
+
+    def _take(self, idx: np.ndarray) -> Barcode:
+        """The bars at the indices idx, with the Bars themselves if made."""
+        bars = None if self._bars is None else [self._bars[i] for i in idx.tolist()]
+        return Barcode.__new__(Barcode)._fill(
+            self.births[idx], self.deaths[idx], self.degrees[idx], bars)
+
+    @property
     def bars(self) -> list[Bar]:
-        return list(map(Bar, *(x.tolist() for x in self._columns)))
+        if self._bars is None:
+            tags = [None if d == UNTAGGED else d for d in self.degrees.tolist()]
+            self._bars = list(map(Bar, self.births.tolist(), self.deaths.tolist(), tags))
+        return self._bars
 
     def __repr__(self):
         return f"Barcode(bars={self.bars!r})"
@@ -78,37 +97,54 @@ class Barcode:
     def __getstate__(self):    # pickles as the bar list alone, made or not
         return {"bars": self.bars}
 
+    def __setstate__(self, state):
+        self.__init__(state["bars"])
+
     def __iter__(self):
         return iter(self.bars)
 
     def __len__(self):
-        return len(self.bars)
+        return len(self.births)
 
     def __eq__(self, other):
         if not isinstance(other, Barcode):
             return NotImplemented
         return sorted(self.bars, key=Bar._key) == sorted(other.bars, key=Bar._key)
 
+    def _finite(self) -> np.ndarray:
+        return (self.births > -INF) & (self.deaths < INF)
+
+    def _lengths(self) -> np.ndarray:
+        """death - birth: inf for rays, and for finite bars whose length overflows."""
+        with np.errstate(over="ignore"):
+            return self.deaths - self.births
+
     def finite_bars(self) -> list[Bar]:
-        return [b for b in self.bars if b.finite]
+        bars = self.bars
+        return [bars[i] for i in np.flatnonzero(self._finite()).tolist()]
 
     def fully_tagged(self) -> bool:
-        return all(b.degree is not None for b in self.bars)
+        return bool((self.degrees != UNTAGGED).all())
 
     def restrict_degree(self, degree: Optional[int]) -> "Barcode":
-        return Barcode([b for b in self.bars if b.degree == degree])
+        keep = self.degrees == (UNTAGGED if degree is None else degree)
+        # no bar has a degree outside the range, UNTAGGED included
+        return self._take(np.flatnonzero(keep & (degree is None or 0 <= degree < DEGREE_LIMIT)))
 
     def untagged(self) -> "Barcode":
-        return Barcode([Bar(b.birth, b.death) for b in self.bars])
+        return Barcode._of_columns(self.births, self.deaths, np.full(len(self), UNTAGGED))
 
     def finite_endpoints(self) -> list[float]:
-        out = []
-        for b in self.bars:
-            if b.birth > -INF:
-                out.append(b.birth)
-            if b.death < INF:
-                out.append(b.death)
-        return sorted(set(out))
+        ends = np.column_stack([self.births, self.deaths]).ravel()    # bar by bar
+        return _distinct(ends[np.isfinite(ends)]).tolist()
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, as sorted(set(values)) gives them: a zero has
+    the sign of the first zero in *values*, which np.unique does not keep."""
+    out = np.unique(values)
+    out[out == 0] = values[np.flatnonzero(values == 0)[:1]]
+    return out
 
 
 @dataclass
@@ -125,12 +161,6 @@ class Matching:
 
     def __len__(self):
         return len(self.pairs)
-
-    def left_indices(self) -> set[int]:
-        return {i for i, _ in self.pairs}
-
-    def right_indices(self) -> set[int]:
-        return {j for _, j in self.pairs}
 
     def compose(self, other: "Matching") -> "Matching":
         """self after other: pairs (i, k) with other i->j and self j->k."""
@@ -155,18 +185,16 @@ def bar_match_cost(i: Bar, j: Bar) -> float:
     return max(_endpoint_diff(i.birth, j.birth), _endpoint_diff(i.death, j.death))
 
 
-def _cost_matrix(b: list[Bar], c: list[Bar]) -> np.ndarray:
+def _cost_matrix(b: Barcode, c: Barcode) -> np.ndarray:
     """The len(b) x len(c) matrix of bar_match_cost values, by the same
     rules: 0 for equal endpoints (inf/inf too), inf when exactly one is
     infinite, the IEEE abs(a - b) otherwise (inf when it overflows)."""
     def diff(x, y):
-        x = np.array(x, dtype=float)[:, None]
-        y = np.array(y, dtype=float)[None, :]
+        x, y = x[:, None], y[None, :]
         with np.errstate(invalid="ignore", over="ignore"):   # inf - inf; masked below
             return np.where(x == y, 0.0, np.abs(x - y))
 
-    return np.maximum(diff([bar.birth for bar in b], [bar.birth for bar in c]),
-                      diff([bar.death for bar in b], [bar.death for bar in c]))
+    return np.maximum(diff(b.births, c.births), diff(b.deaths, c.deaths))
 
 
 def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool:
@@ -178,16 +206,10 @@ def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    for i, j in m.pairs:
-        if not (0 <= i < len(b.bars) and 0 <= j < len(c.bars)):
-            raise IndexError("matching refers to a bar index out of range")
-    matched_left = m.left_indices()
-    matched_right = m.right_indices()
-    for idx, bar in enumerate(b.bars):
-        if bar.length / 2 > delta and idx not in matched_left:
-            return False
-    for idx, bar in enumerate(c.bars):
-        if bar.length / 2 > delta and idx not in matched_right:
+    if not all(0 <= i < len(b) and 0 <= j < len(c) for i, j in m.pairs):
+        raise IndexError("matching refers to a bar index out of range")
+    for bars, matched in ((b.bars, {i for i, _ in m.pairs}), (c.bars, {j for _, j in m.pairs})):
+        if any(bar.length / 2 > delta and i not in matched for i, bar in enumerate(bars)):
             return False
     return all(bar_match_cost(b.bars[i], c.bars[j]) <= delta for i, j in m.pairs)
 
@@ -242,22 +264,23 @@ def _neighbours(mask: np.ndarray) -> list[list[int]]:
     return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _feasible_matching_at(b: list[Bar], c: list[Bar], delta: float,
-                          cost: np.ndarray) -> Optional[list[tuple[int, int]]]:
-    """A delta-matching between bar lists, or None if none exists; only
+def _feasible_matching_at(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray,
+                          delta: float) -> Optional[list[tuple[int, int]]]:
+    """A delta-matching between two pools, or None if none exists; only
     optimal_matching builds one, as bisection probes ask _delta_feasible.
 
-    *cost* is _cost_matrix(b, c).  Every bar of length > 2*delta on either
-    side must be matched, at cost <= delta.  A matching covering both
-    mandatory sets exists iff each side can be covered on its own
-    (Mendelsohn-Dulmage); Kuhn's search from an empty matching covers each,
-    and flipping alternating paths merges them, dropping only short bars.
+    *cost* is _cost_matrix(b, c), len_* the float lengths.  Every bar of
+    length > 2*delta on either side must be matched, at cost <= delta.  A
+    matching covering both mandatory sets exists iff each side can be covered
+    on its own (Mendelsohn-Dulmage); Kuhn's search from an empty matching
+    covers each, and flipping alternating paths merges them, dropping only
+    short bars.
     """
-    n_b, n_c = len(b), len(c)
+    n_b, n_c = cost.shape
     close = cost <= delta
     adj = _neighbours(close)
-    long_b = [i for i in range(n_b) if b[i].length / 2 > delta]
-    long_c = [j for j in range(n_c) if c[j].length / 2 > delta]
+    long_b = np.flatnonzero(len_b / 2 > delta).tolist()
+    long_c = np.flatnonzero(len_c / 2 > delta).tolist()
     m1_partner = _augment(long_b, adj, [-1] * n_c)            # c index -> b index
     if m1_partner is None:
         return None
@@ -307,15 +330,6 @@ def _delta_feasible(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray, delt
     return True
 
 
-def _pool_arrays(b: list[Bar], c: list[Bar]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cost matrix of two bar lists and their float lengths (inf for
-    rays, and for finite bars whose length overflows)."""
-    with np.errstate(over="ignore"):
-        len_b, len_c = (np.array([x.death for x in bars], dtype=float)
-                        - np.array([x.birth for x in bars], dtype=float) for bars in (b, c))
-    return _cost_matrix(b, c), len_b, len_c
-
-
 def _candidates_above(floor: float, cost: np.ndarray, len_b: np.ndarray,
                       len_c: np.ndarray) -> list[float]:
     """Sorted distinct finite pair costs and half-lengths above *floor*."""
@@ -326,20 +340,30 @@ def _candidates_above(floor: float, cost: np.ndarray, len_b: np.ndarray,
 def bottleneck_candidates(b: Barcode, c: Barcode) -> list[float]:
     """Sorted deltas where feasibility can change: 0, the finite pair
     costs and the finite half-lengths."""
-    return [0.0] + _candidates_above(0.0, *_pool_arrays(b.bars, c.bars))
+    return [0.0] + _candidates_above(0.0, _cost_matrix(b, c), b._lengths(), c._lengths())
 
 
-def _ray_signature(bars: Iterable[Bar]) -> tuple[int, int, int]:
-    birth_inf = sum(1 for b in bars if b.birth == -INF and b.death < INF)
-    death_inf = sum(1 for b in bars if b.death == INF and b.birth > -INF)
-    both = sum(1 for b in bars if b.birth == -INF and b.death == INF)
-    return birth_inf, death_inf, both
+def _ray_signature(b: Barcode) -> tuple[int, int, int]:
+    """How many bars are born at -inf only, die at +inf only, and both."""
+    birth_inf, death_inf = b.births == -INF, b.deaths == INF
+    masks = (birth_inf & ~death_inf, death_inf & ~birth_inf, birth_inf & death_inf)
+    return tuple(int(np.count_nonzero(m)) for m in masks)
+
+
+def _pools(b: Barcode, c: Barcode) -> list[tuple[Barcode, Barcode, Sequence[int], Sequence[int]]]:
+    """The pools that are matched apart, with the indices of their bars:
+    one per degree if both barcodes are fully tagged, else all bars."""
+    if not (b.fully_tagged() and c.fully_tagged()):
+        return [(b, c, range(len(b)), range(len(c)))]
+    idx = [(np.flatnonzero(b.degrees == d), np.flatnonzero(c.degrees == d))
+           for d in set(b.degrees.tolist()) | set(c.degrees.tolist())]
+    return [(b._take(ib), c._take(ic), ib.tolist(), ic.tolist()) for ib, ic in idx]
 
 
 def _bottleneck_single_pool(b: Barcode, c: Barcode) -> float:
-    if _ray_signature(b.bars) != _ray_signature(c.bars):
+    if _ray_signature(b) != _ray_signature(c):
         return INF
-    cost, len_b, len_c = _pool_arrays(b.bars, c.bars)
+    cost, len_b, len_c = _cost_matrix(b, c), b._lengths(), c._lengths()
     # Floor: the largest cheapest exit, min(half-length, nearest partner),
     # over the bars of both sides.  Below it the bar attaining it is
     # mandatory with no partner in reach, so it is the first candidate
@@ -363,61 +387,40 @@ def bottleneck_distance(b: Barcode, c: Barcode) -> float:
     half-lengths; feasibility at a candidate is a bipartite matching
     problem.  Each pool first probes its floor, the largest cheapest exit
     of a bar, and bisects over the candidates above it only if that probe
-    fails.  Returns +inf when infinite-ray counts differ.  If both
-    barcodes are fully degree-tagged the distance is computed per degree
-    and combined by maximum, otherwise as a single pool.
+    fails.  Returns +inf when infinite-ray counts differ, or when lengths
+    and costs overflow.  If both barcodes are fully degree-tagged the
+    distance is computed per degree and combined by maximum, otherwise as a
+    single pool.
     """
-    if len(b.bars) == 0 and len(c.bars) == 0:
-        return 0.0
-    if b.fully_tagged() and c.fully_tagged():
-        degrees = {bar.degree for bar in b.bars} | {bar.degree for bar in c.bars}
-        return max(_bottleneck_single_pool(b.restrict_degree(d), c.restrict_degree(d))
-                   for d in degrees)
-    return _bottleneck_single_pool(b.untagged(), c.untagged())
+    return max((_bottleneck_single_pool(x, y) for x, y, _, _ in _pools(b, c)), default=0.0)
 
 
 def optimal_matching(b: Barcode, c: Barcode) -> tuple[float, Matching]:
     """Bottleneck distance together with a certifying matching."""
     delta = bottleneck_distance(b, c)
+    pools = _pools(b, c)
     if delta == INF:
-        raise ValueError("no finite-cost matching: infinite-ray counts differ")
-    if b.fully_tagged() and c.fully_tagged():
-        pairs = []
-        degrees = {bar.degree for bar in b.bars} | {bar.degree for bar in c.bars}
-        for d in degrees:
-            bi = [i for i, bar in enumerate(b.bars) if bar.degree == d]
-            ci = [j for j, bar in enumerate(c.bars) if bar.degree == d]
-            sub_b, sub_c = [b.bars[i] for i in bi], [c.bars[j] for j in ci]
-            sub = _feasible_matching_at(sub_b, sub_c, delta, _cost_matrix(sub_b, sub_c))
-            pairs.extend((bi[u], ci[v]) for u, v in sub)
-        return delta, Matching(pairs)
-    pairs = _feasible_matching_at(b.bars, c.bars, delta, _cost_matrix(b.bars, c.bars))
+        rays = any(_ray_signature(x) != _ray_signature(y) for x, y, _, _ in pools)
+        raise ValueError("no finite-cost matching: " + (
+            "infinite-ray counts differ" if rays else "bar lengths or costs overflow to inf"))
+    pairs = []
+    for x, y, ix, iy in pools:
+        sub = _feasible_matching_at(_cost_matrix(x, y), x._lengths(), y._lengths(), delta)
+        pairs.extend((ix[u], iy[v]) for u, v in sub)
     return delta, Matching(pairs)
 
 
 def bottleneck_bruteforce(b: Barcode, c: Barcode) -> float:
     """Minimise max(pair costs, unmatched half-lengths) over all partial
     bijections.  Exponential; oracle for small inputs."""
-    nb, nc = len(b.bars), len(c.bars)
     best = INF
-
-    def unmatched_penalty(bars, used):
-        pen = 0.0
-        for idx, bar in enumerate(bars):
-            if idx not in used:
-                pen = max(pen, bar.length / 2)
-        return pen
-
-    right = list(range(nc))
-    for k in range(0, min(nb, nc) + 1):
-        for left in itertools.combinations(range(nb), k):
-            for perm in itertools.permutations(right, k):
-                cost = 0.0
-                for i, j in zip(left, perm):
-                    cost = max(cost, bar_match_cost(b.bars[i], c.bars[j]))
-                cost = max(cost,
-                           unmatched_penalty(b.bars, set(left)),
-                           unmatched_penalty(c.bars, set(perm)))
+    for k in range(min(len(b), len(c)) + 1):
+        for left in itertools.combinations(range(len(b)), k):
+            for right in itertools.permutations(range(len(c)), k):
+                cost = max([0.0] + [bar_match_cost(b.bars[i], c.bars[j])
+                                    for i, j in zip(left, right)]
+                           + [x.length / 2 for i, x in enumerate(b.bars) if i not in left]
+                           + [y.length / 2 for j, y in enumerate(c.bars) if j not in right])
                 best = min(best, cost)
     return best
 
@@ -451,7 +454,9 @@ def interval_interleaving_distance(i: Bar, j: Bar) -> float:
 
 def shift_barcode(b: Barcode, delta: float) -> Barcode:
     """Translate every endpoint by delta; infinite endpoints stay put."""
-    return Barcode([bar.shifted(delta) for bar in b.bars])
+    with np.errstate(invalid="ignore", over="ignore"):    # -inf + inf is put back below
+        return Barcode._of_columns(np.where(b.births == -INF, -INF, b.births + delta),
+                                   np.where(b.deaths == INF, INF, b.deaths + delta), b.degrees)
 
 
 def boundary_depth(b: Barcode) -> float:
@@ -463,8 +468,8 @@ def beta_k(b: Barcode, k: int) -> float:
     """k-th longest finite-bar length; 0 when fewer than k finite bars."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lengths = sorted((bar.length for bar in b.finite_bars()), reverse=True)
-    return lengths[k - 1] if k <= len(lengths) else 0.0
+    lengths = np.sort(b._lengths()[b._finite()])
+    return lengths[-k].item() if k <= lengths.size else 0.0
 
 
 def ell(b: Barcode, lo: float, hi: float) -> float:
@@ -472,11 +477,9 @@ def ell(b: Barcode, lo: float, hi: float) -> float:
     if not lo <= hi:
         raise ValueError("need lo <= hi")
     total = 0.0
-    for bar in b.bars:
-        left = max(bar.birth, lo)
-        right = min(bar.death, hi)
+    for left, right in zip(np.maximum(b.births, lo).tolist(), np.minimum(b.deaths, hi).tolist()):
         if right > left:
-            total += right - left
+            total += right - left    # in bar order, as the digests pin the bits
     return total
 
 
@@ -484,19 +487,19 @@ def nu(b: Barcode, c: float) -> int:
     """Number of finite bars of length > c."""
     if not c >= 0:
         raise ValueError("threshold must be >= 0")
-    return sum(1 for bar in b.finite_bars() if bar.length > c)
+    return int(np.count_nonzero(b._finite() & (b._lengths() > c)))
 
 
 def persistent_betti(b: Barcode, window: Bar) -> int:
     """Number of bars containing the window (birth <= w.birth, death >= w.death)."""
     if not window.finite:
         raise ValueError("window must be finite")
-    return sum(1 for bar in b.bars if bar.birth <= window.birth and window.death <= bar.death)
+    return int(np.count_nonzero((b.births <= window.birth) & (window.death <= b.deaths)))
 
 
 def infinite_endpoint_spectrum(b: Barcode) -> list[float]:
     """Sorted multiset of births of the death-infinite bars."""
-    return sorted(bar.birth for bar in b.bars if bar.death == INF)
+    return np.sort(b.births[b.deaths == INF], kind="stable").tolist()
 
 
 def _corner_windows(b: Barcode) -> tuple[np.ndarray, np.ndarray]:
@@ -512,10 +515,8 @@ def _corner_windows(b: Barcode) -> tuple[np.ndarray, np.ndarray]:
     bar never leaves the shrink, which also covers -inf births and +inf
     deaths.
     """
-    births = np.array([bar.birth for bar in b.bars])
-    deaths = np.array([bar.death for bar in b.bars])
-    xs = np.array(sorted({bar.birth for bar in b.bars}))
-    ys = np.array(sorted({bar.death for bar in b.bars}))
+    births, deaths = b.births, b.deaths
+    xs, ys = _distinct(births), _distinct(deaths)
     with np.errstate(invalid="ignore"):
         gap_d = np.where(deaths[:, None] == ys, -INF, ys - deaths[:, None])    # (bars, ys)
     covers_y = deaths[:, None] >= ys
@@ -535,11 +536,6 @@ def _corner_windows(b: Barcode) -> tuple[np.ndarray, np.ndarray]:
     return counts, caps
 
 
-def _best_cap(caps: np.ndarray) -> float:
-    """Largest cap, or +0.0 when none is above 0."""
-    return max(0.0, float(caps.max(initial=0.0)))
-
-
 def multiplicity_function(b: Barcode, k: int) -> float:
     """mu_k: supremum of c admitting a window of length > 4c with exactly
     k bars over it and over its 2c-shrink; 0 when no window exists.
@@ -551,13 +547,13 @@ def multiplicity_function(b: Barcode, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     counts, caps = _corner_windows(b)
-    return _best_cap(caps[counts == k])
+    return max(0.0, caps[counts == k].max(initial=0.0).item())    # +0.0 when none is above
 
 
 def mu_odd(b: Barcode) -> float:
     """max over odd k of mu_k."""
     counts, caps = _corner_windows(b)
-    return _best_cap(caps[counts % 2 == 1])
+    return max(0.0, caps[counts % 2 == 1].max(initial=0.0).item())
 
 
 GRID_RESOLUTION = 1e-3    # multiplicity_grid_oracle's grid step, as a share of the endpoint span
@@ -582,14 +578,13 @@ def multiplicity_grid_oracle(b: Barcode, k: int) -> float:
     step = GRID_RESOLUTION * span
     # Windows reach past the finite endpoints only where an infinite
     # endpoint keeps coverage alive out there.
-    pad_lo = 2.5 * span if any(bar.birth == -INF for bar in b.bars) else step
-    pad_hi = 2.5 * span if any(bar.death == INF for bar in b.bars) else step
+    births, deaths = b.births, b.deaths
+    pad_lo = 2.5 * span if (births == -INF).any() else step
+    pad_hi = 2.5 * span if (deaths == INF).any() else step
     grid = np.arange(min(ends) - pad_lo, max(ends) + pad_hi + step, step)
-    births = np.array([bar.birth for bar in b.bars])
-    deaths = np.array([bar.death for bar in b.bars])
     n = grid.size
     best = 0.0
-    chunk = max(1, int(2e6 // max(1, len(b.bars) * n)))
+    chunk = max(1, int(2e6 // max(1, len(b) * n)))
     for start in range(0, n, chunk):
         xs = grid[start:start + chunk]                     # (cx,)
         covers_x = births[:, None, None] <= xs[None, :, None]   # (bars, cx, 1)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import field as ff
-from .barcode import Bar, Barcode
+from .barcode import UNTAGGED, Bar, Barcode
 from .filtered_complex import FilteredComplex, barcode_of_complex
 
 INF = math.inf
@@ -181,10 +181,7 @@ def drop_top_degree(b: Barcode, max_dim: int) -> Barcode:
     an artifact of the missing higher cells, so pipelines report only the
     degrees below it.
     """
-    if "bars" in vars(b):
-        return Barcode([bar for bar in b.bars if bar.degree is None or bar.degree < max_dim])
-    keep = b._columns[2] < max_dim    # bars not made yet: the dropped ones never are
-    return Barcode._of_columns(*(x[keep] for x in b._columns))
+    return b._take(np.flatnonzero((b.degrees < max_dim) | (b.degrees == UNTAGGED)))
 
 
 def rips_barcode(x: FiniteMetricSpace, max_dim: int,

@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from persimod.barcode import (Bar, Barcode, Matching, _cost_matrix,
+from persimod.barcode import (Bar, Barcode, Matching, _candidates_above,
+                              _corner_windows, _cost_matrix,
                               _delta_feasible, _feasible_matching_at,
                               _greedy_start, _neighbours, _ray_signature,
                               bar_match_cost, beta_k,
@@ -413,7 +414,7 @@ def test_bottleneck_candidates_are_finite_costs_and_half_lengths():
     for _ in range(60):
         b, c = proper_barcode(rng, max_bars=6), proper_barcode(rng, max_bars=6)
         rows = [[bar_match_cost(x, y) for y in c.bars] for x in b.bars]
-        assert _cost_matrix(b.bars, c.bars).tolist() == rows
+        assert _cost_matrix(b, c).tolist() == rows
         costs = {cost for row in rows for cost in row}
         halves = {bar.length / 2 for bar in b.bars + c.bars if bar.finite}
         want = sorted({0.0} | {d for d in costs if d < INF} | halves)
@@ -508,10 +509,10 @@ def test_probe_equals_the_matching_search():
     checked = {False: 0, True: 0}
     for _ in range(24):
         b, c = probe_pair(rng)
-        cost = _cost_matrix(b.bars, c.bars)
+        cost = _cost_matrix(b, c)
         len_b, len_c = (np.array([bar.length for bar in x.bars], dtype=float) for x in (b, c))
         for delta in bottleneck_candidates(b, c):
-            want = _feasible_matching_at(b.bars, c.bars, delta, cost) is not None
+            want = _feasible_matching_at(cost, len_b, len_c, delta) is not None
             assert _delta_feasible(cost, len_b, len_c, delta) == want, (b.bars, c.bars, delta)
             checked[want] += 1
     assert min(checked.values()) > 1000
@@ -521,10 +522,10 @@ def bottleneck_by_full_bisection(b, c):
     """Oracle: the plain bisection over every candidate of each pool, with
     no floor probed first; bottleneck_distance must agree bit for bit."""
     def single_pool(b, c):
-        if _ray_signature(b.bars) != _ray_signature(c.bars):
+        if _ray_signature(b) != _ray_signature(c):
             return INF
         candidates = bottleneck_candidates(b, c)
-        cost = _cost_matrix(b.bars, c.bars)
+        cost = _cost_matrix(b, c)
         len_b, len_c = (np.array([x.death for x in bars], dtype=float)
                         - np.array([x.birth for x in bars], dtype=float) for bars in (b.bars, c.bars))
         # Largest candidate is always feasible once ray counts agree (and no
@@ -575,10 +576,10 @@ def test_no_candidate_below_the_floor_is_feasible():
     at_floor = above = 0
     for _ in range(40):
         b, c = probe_pair(rng)
-        if _ray_signature(b.bars) != _ray_signature(c.bars):
+        if _ray_signature(b) != _ray_signature(c):
             continue
         floor = cheapest_exit_floor(b, c)
-        cost = _cost_matrix(b.bars, c.bars)
+        cost = _cost_matrix(b, c)
         len_b, len_c = (np.array([bar.length for bar in x.bars], dtype=float) for x in (b, c))
         candidates = bottleneck_candidates(b, c)
         assert floor in candidates
@@ -658,3 +659,328 @@ def test_optimal_matching_pairs_are_pinned(b, c, pairs):
     # the plain Kuhn search's, and callers may have stored it
     b, c = Barcode([Bar(*x) for x in b]), Barcode([Bar(*x) for x in c])
     assert optimal_matching(b, c)[1].pairs == pairs
+
+
+def test_optimal_matching_names_why_no_finite_matching_exists():
+    for b, c in ((Barcode([Bar(0, INF)]), Barcode([])),
+                 (Barcode([Bar(-INF, 1)]), Barcode([Bar(0, INF)])),
+                 (Barcode([Bar(0, INF, 0)]), Barcode([Bar(0, INF, 1)]))):    # per degree
+        with pytest.raises(ValueError, match="infinite-ray counts differ"):
+            optimal_matching(b, c)
+    # no rays on either side, but one bar of length 2e308 (overflowed to
+    # inf) is left over and no finite delta lets it go unmatched
+    b = Barcode([Bar(-1e308, 1e308)] * 3)
+    c = Barcode([Bar(-1e308, -0.5e308), Bar(-1e308, -0.6e308)])
+    assert bottleneck_distance(b, c) == INF
+    with pytest.raises(ValueError, match="bar lengths or costs overflow to inf"):
+        optimal_matching(b, c)
+
+
+# -- the list-based queries as they were before Barcode held arrays ----------
+# Each query on the arrays must give these values bit for bit.
+
+
+def old_finite_endpoints(bars):
+    out = []
+    for b in bars:
+        if b.birth > -INF:
+            out.append(b.birth)
+        if b.death < INF:
+            out.append(b.death)
+    return sorted(set(out))
+
+
+def old_cost_matrix(b, c):
+    def diff(x, y):
+        x = np.array(x, dtype=float)[:, None]
+        y = np.array(y, dtype=float)[None, :]
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.where(x == y, 0.0, np.abs(x - y))
+
+    return np.maximum(diff([bar.birth for bar in b], [bar.birth for bar in c]),
+                      diff([bar.death for bar in b], [bar.death for bar in c]))
+
+
+def old_pool_arrays(b, c):
+    with np.errstate(over="ignore"):
+        len_b, len_c = (np.array([x.death for x in bars], dtype=float)
+                        - np.array([x.birth for x in bars], dtype=float) for bars in (b, c))
+    return old_cost_matrix(b, c), len_b, len_c
+
+
+def old_ray_signature(bars):
+    birth_inf = sum(1 for b in bars if b.birth == -INF and b.death < INF)
+    death_inf = sum(1 for b in bars if b.death == INF and b.birth > -INF)
+    both = sum(1 for b in bars if b.birth == -INF and b.death == INF)
+    return birth_inf, death_inf, both
+
+
+def old_single_pool(b, c):
+    if old_ray_signature(b) != old_ray_signature(c):
+        return INF
+    cost, len_b, len_c = old_pool_arrays(b, c)
+    floor = max(np.minimum(len_b / 2, cost.min(axis=1, initial=INF)).max(initial=0.0),
+                np.minimum(len_c / 2, cost.min(axis=0, initial=INF)).max(initial=0.0)).item()
+    if _delta_feasible(cost, len_b, len_c, floor):
+        return floor
+    candidates = _candidates_above(floor, cost, len_b, len_c) + [INF]
+    return candidates[bisect.bisect_left(
+        candidates, True, hi=len(candidates) - 1,
+        key=lambda delta: _delta_feasible(cost, len_b, len_c, delta))]
+
+
+def old_pools(b, c):
+    """(bar indices of b, of c) per pool."""
+    if all(x.degree is not None for x in b + c):
+        return [([i for i, x in enumerate(b) if x.degree == d],
+                 [j for j, y in enumerate(c) if y.degree == d])
+                for d in {x.degree for x in b} | {y.degree for y in c}]
+    return [(list(range(len(b))), list(range(len(c))))]
+
+
+def old_bottleneck_distance(b, c):
+    if not b and not c:
+        return 0.0
+    return max(old_single_pool([b[i] for i in bi], [c[j] for j in ci])
+               for bi, ci in old_pools(b, c))
+
+
+def old_matching_pairs(b, c, delta):
+    pairs = []
+    for bi, ci in old_pools(b, c):
+        sub_b, sub_c = [b[i] for i in bi], [c[j] for j in ci]
+        cost = old_cost_matrix(sub_b, sub_c)
+        lengths = [np.array([x.length for x in bars], dtype=float) for bars in (sub_b, sub_c)]
+        sub = _feasible_matching_at(cost, *lengths, delta)
+        pairs.extend((bi[u], ci[v]) for u, v in sub)
+    return pairs
+
+
+def old_ell(bars, lo, hi):
+    total = 0.0
+    for bar in bars:
+        left = max(bar.birth, lo)
+        right = min(bar.death, hi)
+        if right > left:
+            total += right - left
+    return total
+
+
+def old_corner_windows(bars):
+    births = np.array([bar.birth for bar in bars])
+    deaths = np.array([bar.death for bar in bars])
+    xs = np.array(sorted({bar.birth for bar in bars}))
+    ys = np.array(sorted({bar.death for bar in bars}))
+    with np.errstate(invalid="ignore"):
+        gap_d = np.where(deaths[:, None] == ys, -INF, ys - deaths[:, None])
+    covers_y = deaths[:, None] >= ys
+    counts = np.empty((xs.size, ys.size), dtype=np.int64)
+    caps = np.empty((xs.size, ys.size))
+    for start in range(xs.size):
+        x = xs[start:start + 1]
+        with np.errstate(invalid="ignore"):
+            gap_b = np.where(births[:, None] == x, -INF, births[:, None] - x)
+        covers_x = births[:, None] <= x
+        inside = covers_x[:, :, None] & covers_y[:, None, :]
+        counts[start:start + 1] = inside.sum(axis=0)
+        thr = np.maximum(gap_b[:, :, None], gap_d[:, None, :]) / 2
+        thr[inside] = INF
+        caps[start:start + 1] = np.minimum((ys - x[:, None]) / 4, thr.min(axis=0))
+    return counts, caps
+
+
+def old_shift(bars, delta):
+    try:
+        return [Bar(b.birth if b.birth == -INF else b.birth + delta,
+                    b.death if b.death == INF else b.death + delta, b.degree) for b in bars]
+    except ValueError as e:
+        return str(e)
+
+
+def new_shift(b, delta):
+    try:
+        return shift_barcode(b, delta).bars
+    except ValueError as e:
+        return str(e)
+
+
+def old_queries(bars, other):
+    """Every query on the bar list *bars* (and *other*, for the pair queries)."""
+    finite = [b for b in bars if b.birth > -INF and b.death < INF]
+    lengths = sorted((b.length for b in finite), reverse=True)
+    out = {
+        "len": len(bars),
+        "finite_bars": finite,
+        "fully_tagged": all(b.degree is not None for b in bars),
+        "finite_endpoints": old_finite_endpoints(bars),
+        "untagged": [Bar(b.birth, b.death) for b in bars],
+        "ray_signature": old_ray_signature(bars),
+        "spectrum": sorted(b.birth for b in bars if b.death == INF),
+        "cost": old_cost_matrix(bars, other),
+    }
+    for d in QUERY_DEGREES:
+        out[f"restrict {d}"] = [b for b in bars if b.degree == d]
+    for k in (1, 2, 3, 5):
+        out[f"beta {k}"] = lengths[k - 1] if k <= len(lengths) else 0.0
+    for c in (0, 0.25, 1, 2.5):
+        out[f"nu {c}"] = sum(1 for b in finite if b.length > c)
+    for lo, hi in ELL_WINDOWS:
+        out[f"ell {lo} {hi}"] = old_ell(bars, lo, hi)
+    for w in BETTI_WINDOWS:
+        out[f"betti {w}"] = sum(1 for b in bars if b.birth <= w.birth and w.death <= b.death)
+    for delta in SHIFTS:
+        out[f"shift {delta}"] = old_shift(bars, delta)
+    out["bottleneck"] = delta = old_bottleneck_distance(bars, other)
+    out["matching"] = None if delta == INF else old_matching_pairs(bars, other, delta)
+    return out
+
+
+QUERY_DEGREES = (None, 0, 1, 2, -1, 2 ** 31, 10 ** 30)
+ELL_WINDOWS = ((0, 1), (-INF, INF), (-0.0, 2.5), (0.5, 0.5), (-2, 10 ** 3))
+BETTI_WINDOWS = (Bar(0, 1), Bar(0.25, 0.5), Bar(-0.0, 0.0001), Bar(1, 3))
+SHIFTS = (0.5, -0.0, 3, 1e308, -INF)       # the last two can close a bar: same error
+
+
+def new_queries(b, c):
+    out = {
+        "len": len(b),
+        "finite_bars": b.finite_bars(),
+        "fully_tagged": b.fully_tagged(),
+        "finite_endpoints": b.finite_endpoints(),
+        "untagged": b.untagged().bars,
+        "ray_signature": _ray_signature(b),
+        "spectrum": infinite_endpoint_spectrum(b),
+        "cost": _cost_matrix(b, c),
+    }
+    for d in QUERY_DEGREES:
+        out[f"restrict {d}"] = b.restrict_degree(d).bars
+    for k in (1, 2, 3, 5):
+        out[f"beta {k}"] = beta_k(b, k)
+    for t in (0, 0.25, 1, 2.5):
+        out[f"nu {t}"] = nu(b, t)
+    for lo, hi in ELL_WINDOWS:
+        out[f"ell {lo} {hi}"] = ell(b, lo, hi)
+    for w in BETTI_WINDOWS:
+        out[f"betti {w}"] = persistent_betti(b, w)
+    for delta in SHIFTS:
+        out[f"shift {delta}"] = new_shift(b, delta)
+    out["bottleneck"] = delta = bottleneck_distance(b, c)
+    out["matching"] = None if delta == INF else optimal_matching(b, c)[1].pairs
+    return out
+
+
+def canon(value):
+    """Bits and types: floats by float.hex (the sign of a zero and inf
+    included), ints and bools as themselves, bars by their endpoints'
+    bits and their degree, arrays by their bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [canon(v) for v in value]
+    if isinstance(value, Bar):
+        return canon(value.birth), canon(value.death), value.degree
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, value
+
+
+def floats(key, value):
+    """An answer as the arrays hold it: int endpoints as floats, for the
+    queries whose answers are endpoints, lengths or Bars."""
+    if not key.startswith(("finite", "untagged", "spectrum", "restrict", "beta", "shift")):
+        return value
+    if isinstance(value, str):             # a ValueError's message
+        return value
+    if isinstance(value, list):
+        return [floats(key, v) for v in value]
+    if isinstance(value, Bar):
+        return Bar(float(value.birth), float(value.death), value.degree)
+    return float(value)
+
+
+EQUIVALENCE_ENDS = {
+    # ties, signed zeros, int endpoints, rays, lines
+    "grid": [-INF, -1, -0.0, 0.0, 0, 0.25, 0.5, 1, 1.0, 1.5, 2, INF],
+    # overflowing lengths and costs
+    "huge": [-INF, -1e308, -0.6e308, -1.0, -0.0, 0.0, 0.5e308, 0.9e308, 1e308, INF],
+}
+
+
+def equivalence_bars(rng, kind, tags):
+    """0-40 bars of one kind: endpoints from a small pool, or spread floats
+    whose sums round.  tags: "none", "all" or "mixed" degrees."""
+    bars = []
+    for _ in range(rng.choice([0, 1, 3, 6, 12, 40])):
+        if kind == "spread":
+            x = rng.choice([-INF, -0.0, 0.0] + [rng.uniform(-1, 3)] * 6)
+            y = rng.choice([INF, x + rng.uniform(0.01, 2)] if x > -INF else [INF, 1.0])
+        else:
+            x, y = sorted(rng.sample(EQUIVALENCE_ENDS[kind], 2))
+        if not x < y:
+            continue
+        degree = {"none": None, "all": rng.randint(0, 2),
+                  "mixed": rng.choice([None, 0, 1])}[tags]
+        bars.append(Bar(x, y, degree))
+    return bars
+
+
+def with_the_same_rays(rng, bars, kind, tags):
+    """Other bars with the rays of *bars*, so that most distances are finite."""
+    out = [x for x in bars if not x.finite] + [
+        x for x in equivalence_bars(rng, kind, tags) if x.finite]
+    rng.shuffle(out)
+    return out
+
+
+def of_columns(bars):
+    return Barcode._of_columns(np.array([b.birth for b in bars], dtype=float),
+                               np.array([b.death for b in bars], dtype=float),
+                               np.array([-1 if b.degree is None else b.degree for b in bars],
+                                        dtype=np.int64))
+
+
+def test_array_queries_equal_the_list_queries():
+    rng = random.Random(53)
+    seen = {"-0.0": 0, "int": 0, "rays": 0, "mixed": 0, "empty": 0, "inf distance": 0,
+            "finite distance": 0, "shift error": 0}
+    for i in range(1200):
+        kind = ("grid", "spread", "huge")[i % 3]
+        tags = ("none", "all", "mixed", "all")[i // 3 % 4]
+        bars = equivalence_bars(rng, kind, tags)
+        if i % 2:
+            other = with_the_same_rays(rng, bars, kind, tags)
+        else:
+            other = equivalence_bars(rng, kind, tags)
+        want = old_queries(bars, other)
+        b, c = Barcode(bars), Barcode(other)
+        got = new_queries(b, c)
+        assert got.keys() == want.keys()
+        for key in want:
+            # finite_bars and restrict_degree hand back the given Bars; every
+            # other value comes from the arrays, which hold floats
+            own = key == "finite_bars" or key.startswith("restrict")
+            assert canon(got[key]) == canon(want[key] if own else floats(key, want[key])), \
+                (key, bars, other)
+        # the same bars from columns give the same answers; their Bars hold floats
+        cols = new_queries(of_columns(bars), of_columns(other))
+        assert {k: canon(v) for k, v in cols.items()} == \
+            {k: canon(floats(k, v)) for k, v in got.items()}
+        if kind != "huge":                 # mu overflows there (old and new alike)
+            counts, caps = _corner_windows(b)
+            old_counts, old_caps = old_corner_windows(bars)
+            assert counts.tolist() == old_counts.tolist() and canon(caps) == canon(old_caps)
+            assert canon(_corner_windows(of_columns(bars))) == canon((counts, caps))
+            for k in (1, 2, 3):
+                old_mu = max(0.0, float(old_caps[old_counts == k].max(initial=0.0)))
+                assert canon(multiplicity_function(b, k)) == canon(old_mu)
+            old_odd = max(0.0, float(old_caps[old_counts % 2 == 1].max(initial=0.0)))
+            assert canon(mu_odd(b)) == canon(old_odd)
+        seen["-0.0"] += any(math.copysign(1, e) < 0 for e in want["finite_endpoints"] if e == 0)
+        seen["int"] += any(type(e) is int for e in want["finite_endpoints"])
+        seen["rays"] += any(x != 0 for x in want["ray_signature"])
+        seen["mixed"] += not want["fully_tagged"] and any(x.degree is not None for x in bars)
+        seen["empty"] += not bars
+        seen["inf distance"] += want["bottleneck"] == INF
+        seen["finite distance"] += want["bottleneck"] < INF
+        seen["shift error"] += isinstance(want[f"shift {1e308}"], str)
+    assert min(seen.values()) >= 50, seen

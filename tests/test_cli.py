@@ -64,6 +64,22 @@ def test_cmd_invariants_rejects_boolean_bars(tmp_path, capsys, bar, err):
     assert capsys.readouterr().err.startswith("error: " + err)
 
 
+@pytest.mark.parametrize("degree", [10 ** 23, 2 ** 31, -1, -3])
+@pytest.mark.parametrize("command", ["invariants", "distance"])
+def test_cmd_refuses_degrees_outside_the_array_range(tmp_path, capsys, degree, command):
+    # degrees are stored in an int64 array with -1 for "untagged"
+    path = tmp_path / "b.json"
+    path.write_text('{"bars": [{"birth": 0, "death": 1, "degree": 0}, '
+                    '{"birth": 0, "death": 2, "degree": %d}]}' % degree)
+    assert main([command] + [str(path)] * (2 if command == "distance" else 1)) == 1
+    assert capsys.readouterr().err == (
+        f"error: bar 1: degree {degree} is outside 0 .. 2147483647\n")
+    with pytest.raises(ValueError, match=f"bar 0: degree {degree} is outside"):
+        Barcode([Bar(0, 1, degree)])
+    assert Barcode([Bar(0, 1, 2 ** 31 - 1), Bar(0, 1, 0), Bar(0, 1)]).degrees.tolist() \
+        == [2 ** 31 - 1, 0, -1]
+
+
 def test_cmd_rips_hexagon(tmp_path):
     csv = tmp_path / "hexagon.csv"
     write_hexagon_csv(csv)
