@@ -513,12 +513,12 @@ def _corner_windows(b: Barcode) -> tuple[np.ndarray, np.ndarray]:
     gaining a bar and without lowering its cap, so these corner windows
     attain mu_k.  A gap between equal endpoints is -inf: that end of the
     bar never leaves the shrink, which also covers -inf births and +inf
-    deaths.
+    deaths.  Differences are of halves and quarters, so they never overflow.
     """
     births, deaths = b.births, b.deaths
     xs, ys = _distinct(births), _distinct(deaths)
     with np.errstate(invalid="ignore"):
-        gap_d = np.where(deaths[:, None] == ys, -INF, ys - deaths[:, None])    # (bars, ys)
+        gap_d = np.where(deaths[:, None] == ys, -INF, ys / 2 - deaths[:, None] / 2)    # (bars, ys)
     covers_y = deaths[:, None] >= ys
     counts = np.empty((xs.size, ys.size), dtype=np.int64)
     caps = np.empty((xs.size, ys.size))
@@ -526,13 +526,13 @@ def _corner_windows(b: Barcode) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, xs.size, chunk):
         x = xs[start:start + chunk]
         with np.errstate(invalid="ignore"):
-            gap_b = np.where(births[:, None] == x, -INF, births[:, None] - x)    # (bars, cx)
+            gap_b = np.where(births[:, None] == x, -INF, births[:, None] / 2 - x / 2)  # (bars, cx)
         covers_x = births[:, None] <= x
         inside = covers_x[:, :, None] & covers_y[:, None, :]                     # (bars, cx, ys)
         counts[start:start + chunk] = inside.sum(axis=0)
-        thr = np.maximum(gap_b[:, :, None], gap_d[:, None, :]) / 2
+        thr = np.maximum(gap_b[:, :, None], gap_d[:, None, :])
         thr[inside] = INF
-        caps[start:start + chunk] = np.minimum((ys - x[:, None]) / 4, thr.min(axis=0))
+        caps[start:start + chunk] = np.minimum(ys / 4 - x[:, None] / 4, thr.min(axis=0))
     return counts, caps
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import sys
 
-from . import field as ff
 from .barcode import Bar, Barcode, beta_k, boundary_depth, bottleneck_distance, \
     ell, infinite_endpoint_spectrum, multiplicity_function, mu_odd, nu
 from .complexes import (FiniteMetricSpace, Triangulation, cech_barcode,
@@ -53,25 +52,22 @@ def _emit(bc: Barcode, args) -> None:
 
 
 def _cmd_rips(args) -> int:
-    p = ff.check_characteristic(args.field)
     text = _read(args.input)
     if args.distance_matrix:
         space = parse_distance_matrix(text)
     else:
         space = FiniteMetricSpace.from_points(parse_point_cloud(text).points)
-    _emit(rips_barcode(space, args.max_dim, p), args)
+    _emit(rips_barcode(space, args.max_dim, args.field), args)
     return 0
 
 
 def _cmd_cech(args) -> int:
-    p = ff.check_characteristic(args.field)
     cloud = parse_point_cloud(_read(args.input))
-    _emit(cech_barcode(cloud, args.max_dim, p), args)
+    _emit(cech_barcode(cloud, args.max_dim, args.field), args)
     return 0
 
 
 def _cmd_sublevel(args) -> int:
-    p = ff.check_characteristic(args.field)
     simplices = []
     for ln, raw in enumerate(_read(args.input).splitlines(), start=1):
         line = raw.strip()
@@ -85,21 +81,19 @@ def _cmd_sublevel(args) -> int:
         raise InputError(f"{len(vertices)} vertices but {len(flat)} values")
     vert_values = dict(zip(vertices, flat.tolist()))
     tri = Triangulation(simplices)
-    _emit(barcode_of_complex(sublevel_filtration(tri, vert_values, p)), args)
+    _emit(barcode_of_complex(sublevel_filtration(tri, vert_values, args.field)), args)
     return 0
 
 
 def _cmd_circle(args) -> int:
-    p = ff.check_characteristic(args.field)
     samples = parse_point_cloud(_read(args.input)).points.reshape(-1)
-    _emit(barcode_of_complex(circle_complex(samples.tolist(), p)), args)
+    _emit(barcode_of_complex(circle_complex(samples.tolist(), args.field)), args)
     return 0
 
 
 def _cmd_torus(args) -> int:
-    p = ff.check_characteristic(args.field)
     grid = parse_grid(_read(args.input))
-    _emit(barcode_of_complex(torus_grid_complex(grid, p)), args)
+    _emit(barcode_of_complex(torus_grid_complex(grid, args.field)), args)
     return 0
 
 

@@ -6,6 +6,7 @@ triangulations, cyclic sample complexes and periodic torus grids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,6 +84,9 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError("grid values must be 2-dimensional")
+        if (bad := np.argwhere(~np.isfinite(v))).size:
+            raise ValueError(f"vertex {tuple(bad[0].tolist())} has the non-finite value "
+                             f"{v[tuple(bad[0])]}")
         self.values = v
 
     @property
@@ -120,10 +124,10 @@ def _repr_rank(labels: Sequence) -> np.ndarray:
     return np.argsort(sorted(range(len(labels)), key=[repr(x) for x in labels].__getitem__))
 
 
-def _first_max(v: np.ndarray) -> np.ndarray:
-    """Row-wise max that keeps the first of equal maxima, as Python's max
-    does; np.maximum would keep the last of -0.0 and 0.0."""
-    return v[np.arange(len(v)), v.argmax(axis=1)]
+def _first_max(columns) -> np.ndarray:
+    """Elementwise max of the columns that keeps the first of equal maxima,
+    as Python's max does; np.maximum would keep the last of -0.0 and 0.0."""
+    return functools.reduce(lambda out, col: np.where(col > out, col, out), columns)
 
 
 def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
@@ -145,24 +149,22 @@ def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
         subsets.append(np.column_stack([np.repeat(rows, more, axis=0), last]))
 
     def value(k, facet_values):
-        return _first_max(np.column_stack([facet_values, own(subsets[k])])) if k else np.zeros(n)
+        return _first_max([*facet_values.T, own(subsets[k])]) if k else np.zeros(n)
 
     return FilteredComplex._of_simplices(range(n), _repr_rank(range(n)), subsets, value, p)
 
 
 def _lower_star(labels: Sequence, rank, simplices: list, vertex_values, p: int) -> FilteredComplex:
-    """Each simplex enters at the max of its vertex values, taken in the
-    order its vertices are given; simplices[k] holds the degree-k
-    simplices as rows of vertex indices into labels, in any order.  rank
-    is as for FilteredComplex._of_simplices."""
+    """Each simplex enters at the max of its vertex values over its sorted
+    row, as a Triangulation's sorted simplex would; simplices[k] holds the
+    degree-k ones as rows of vertex indices into labels, in any order.
+    rank is as for FilteredComplex._of_simplices."""
     vv = np.array(vertex_values, dtype=float)
-    rows, values = [], []
-    for given in simplices:
-        srt = np.sort(given, axis=1)
-        order = np.lexsort(srt.T[::-1])
-        rows.append(srt[order])
-        values.append(_first_max(vv[given])[order])
-    return FilteredComplex._of_simplices(labels, rank, rows, lambda k, _: values[k], p)
+    if (bad := np.flatnonzero(~np.isfinite(vv))).size:
+        raise ValueError(f"vertex {labels[bad[0]]!r} has the non-finite value {vv[bad[0]]}")
+    rows = [np.sort(given, axis=1) for given in simplices]
+    return FilteredComplex._of_simplices(labels, rank, rows,
+                                         lambda k, _: _first_max(vv[rows[k]].T), p)
 
 
 def rips_complex(x: FiniteMetricSpace, max_dim: int,

@@ -74,56 +74,61 @@ class FilteredComplex:
 
     Every consumer reads one array form, a _Block per degree: the values
     in reduction order and the boundary as CSR columns mod p.
-    FilteredComplex(cells, boundary, p) checks the faces one by one and
-    converts to it.  The builders in complexes fill it directly through
-    _of_simplices and keep vertex-index rows, from which the cells, the
-    boundary dict and the ids of a built complex are made when first read.
+    FilteredComplex(cells, boundary, p) checks the faces one by one,
+    converts to it and checks the arrays.  The builders fill it unchecked
+    through _of_simplices and keep vertex-index rows, from which the cells,
+    the boundary dict and the ids of a built complex are made when first read.
     """
 
     def __init__(self, cells: list[Cell], boundary: dict, p: int = ff.DEFAULT_P):
-        self.cells, self.boundary, self.p = cells, boundary, p
+        self.cells, self.boundary, self.p = cells, boundary, ff.check_characteristic(p)
+        self._cells, self._blocks = _convert(cells, boundary, p)
         self.__post_init__()
 
     @classmethod
     def _of_simplices(cls, labels, rank, simplices: list, value, p: int) -> FilteredComplex:
         """The complex of a closed set of simplices on range(len(labels)),
-        filled without making ids.  simplices[k] holds the degree-k ones as
-        rows of sorted vertex indices in lexicographic order (row i of
-        degree 0 is vertex i).  They enter at value(k, facet_values), where
-        column t of facet_values is the value of the facet without vertex t
-        (None for vertices); that facet has the sign (-1)^t.  rank[v] is the
-        place of repr(labels[v]) among the labels' reprs: ties in value break
-        by it, as _order_key breaks them for the label-tuple ids (a tuple's
-        repr orders like its labels' reprs in turn)."""
+        unchecked: faces are looked up in the degree below, and the facet
+        without vertex t of a sorted row has the sign (-1)^t, so d(d) = 0.
+        simplices[k] holds the degree-k ones as rows of sorted vertex
+        indices, in any order (degree 0: each vertex once).  They enter at
+        value(k, facet_values), no lower than any column: column t holds the
+        values of the facets without vertex t (None for vertices).  Ties in
+        value break by the ranks of a row's vertices in turn, where rank[v]
+        is the place of repr(labels[v]) among the labels' reprs: the
+        _order_key order of the label-tuple ids.  One int64 code carries
+        them: the tie place of the row without its last vertex, times n,
+        plus that vertex's rank."""
+        ff.check_characteristic(p)
         n = len(labels)
         c = cls.__new__(cls)
         c.p, c._labels, c._blocks, c._vertices = p, labels, {}, {}
-        keys = [None]    # keys[k]: the sorted lookup keys of degree k (see _index)
+        keys = []    # keys[k]: the sorted tie codes of degree k (see _index)
         for k, rows in enumerate(simplices):
             if not len(rows):
                 break
-            if k:
-                faces = np.stack([_index(keys, np.delete(rows, t, axis=1), n)
+            ranked = rank[rows]
+            if k:    # faces[:, t]: the tie place of the facet without vertex t
+                faces = np.stack([_index(keys, np.delete(ranked, t, axis=1), n)
                                   for t in range(k + 1)], axis=1)
-                keys.append(faces[:, k] * n + rows[:, -1])
-            values = value(k, values[faces] if k else None)
-            order = np.lexsort([rank[rows[:, t]] for t in range(k, -1, -1)] + [values])
+            tie = faces[:, k] * n + ranked[:, -1] if k else ranked[:, 0]
+            by_tie = np.argsort(tie)    # the codes are distinct
+            keys.append(tie[by_tie])
+            values = value(k, values[faces] if k else None)[by_tie]
+            place = np.argsort(values, kind="stable")
+            order = by_tie[place]    # reduction index -> row
             m = k + 1 if k else 0    # faces per cell
-            c._blocks[k] = _Block(values[order], np.arange(len(rows) + 1) * m,
-                                  where[faces[order]].ravel() if k else np.zeros(0, np.int64),
+            face_rows = where[faces.take(order, axis=0)].ravel() if k else np.zeros(0, np.int64)
+            c._blocks[k] = _Block(values[place], np.arange(len(rows) + 1) * m, face_rows,
                                   np.tile(np.where(np.arange(m) % 2, p - 1, 1), len(rows)))
-            c._vertices[k] = rows[order]
-            where = np.empty(len(rows), np.int64)    # lexicographic -> reduction index
-            where[order] = np.arange(len(rows))
-        c.__post_init__()
+            c._vertices[k] = rows.take(order, axis=0)
+            where = np.empty(len(rows), np.int64)    # tie place -> reduction index
+            where[place] = np.arange(len(rows))
         return c
 
     def __post_init__(self):
-        """Convert hand-made cells, then check the arrays of either route:
-        faces not above their cell's value, and d(d) = 0."""
-        ff.check_characteristic(self.p)
-        if "_blocks" not in vars(self):
-            self._cells, self._blocks = _convert(self.cells, self.boundary, self.p)
+        """The array check: faces not above their cell's value, and
+        d(d) = 0.  Hand-made complexes run it; the tests run it on built ones."""
         p, dd_fails = self.p, set()
         for k in sorted(self._blocks):
             b, below = self._blocks[k], self._block(k - 1)
@@ -143,18 +148,12 @@ class FilteredComplex:
             sub = np.repeat(below.indptr[b.rows] - end + n, n) + np.arange(end[-1])
             n2 = len(self._block(k - 2).values)
             key = np.repeat(cols, n) * n2 + below.rows[sub]
-            if p == 2:
-                key.sort()
-            else:
-                order = np.argsort(key, kind="stable")    # fast on keys grouped by column
-                key = key[order]
+            order = np.argsort(key, kind="stable")    # fast on keys grouped by column
+            key = key[order]
             start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            if p == 2:    # every coefficient is 1, so a key sums to its run length
-                sums = np.diff(start, append=len(key))
-            else:
-                dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
-                terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
-                sums = np.add.reduceat(terms[order], start)
+            dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
+            terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
+            sums = np.add.reduceat(terms[order], start)
             hit = key[start[sums % p != 0]] // n2
             dd_fails.update((k, j) for j in hit.tolist())
         if dd_fails:
@@ -197,12 +196,12 @@ class FilteredComplex:
         return list(self._cells.get(k, []))
 
 
-def _index(keys: list, rows: np.ndarray, n: int) -> np.ndarray:
-    """Lexicographic position of each row of sorted vertex indices among
-    the simplices of its size; keys[d] holds the sorted keys of degree d."""
-    idx = rows[:, 0]
-    for d in range(1, rows.shape[1]):
-        idx = np.searchsorted(keys[d], idx * n + rows[:, d])
+def _index(keys: list, ranked: np.ndarray, n: int) -> np.ndarray:
+    """Tie place of each simplex among those of its size, from the ranks of
+    its sorted vertices; keys[d] holds the sorted tie codes of degree d."""
+    idx = ranked[:, 0]
+    for d in range(1, ranked.shape[1]):
+        idx = np.searchsorted(keys[d], idx * n + ranked[:, d])
     return idx
 
 

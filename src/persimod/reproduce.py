@@ -316,7 +316,8 @@ def torus_sin_grid() -> GridFunction:
 def _scn_torus_n2(chk, seed, slack):
     n = 2    # the frequency torus_sin_grid samples
     g = torus_sin_grid()
-    bc = barcode_of_complex(torus_grid_complex(g))
+    bc = barcode_of_complex(c := torus_grid_complex(g))
+    c.__post_init__()    # the array check, which builders skip: raises if the complex is wrong
     count = nu(bc, 1.9)
     chk.expect("nu(p, 1.9) = 2n^2 - 2 = 6", count == 2 * n * n - 2, f"nu = {count}")
     lo, hi = float(g.values.min()), float(g.values.max())

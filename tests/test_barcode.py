@@ -263,6 +263,14 @@ def test_multiplicity_function_values():
         multiplicity_function(Barcode([]), 0)
 
 
+def test_mu_of_windows_wider_than_the_float_range():
+    # y - x overflows to inf for these windows and gaps; their quarters and halves do not
+    assert multiplicity_function(Barcode([Bar(-1e308, 1e308)]), 1) == 5e307
+    wide = Barcode([Bar(-1e308, 1e308), Bar(1e308, 1.7e308), Bar(-1.7e308, -1e308)])
+    assert multiplicity_function(wide, 1) == mu_odd(wide) == 5e307
+    assert multiplicity_function(wide, 2) == 0
+
+
 def test_mu_odd():
     assert mu_odd(Barcode([Bar(0, 1), Bar(0, 1)])) == 0
     assert mu_odd(Barcode([Bar(0, 4)])) == 1.0
@@ -767,6 +775,10 @@ def old_ell(bars, lo, hi):
 
 
 def old_corner_windows(bars):
+    """The covering counts and caps, from the windows of the bars scaled by
+    1/4, whose widths and gaps stay in the float range; scaling by a power
+    of two is exact, so the caps times 4 are those of the bars themselves."""
+    bars = [Bar(bar.birth / 4, bar.death / 4) for bar in bars]
     births = np.array([bar.birth for bar in bars])
     deaths = np.array([bar.death for bar in bars])
     xs = np.array(sorted({bar.birth for bar in bars}))
@@ -786,7 +798,7 @@ def old_corner_windows(bars):
         thr = np.maximum(gap_b[:, :, None], gap_d[:, None, :]) / 2
         thr[inside] = INF
         caps[start:start + 1] = np.minimum((ys - x[:, None]) / 4, thr.min(axis=0))
-    return counts, caps
+    return counts, caps * 4
 
 
 def old_shift(bars, delta):
@@ -942,7 +954,7 @@ def of_columns(bars):
 def test_array_queries_equal_the_list_queries():
     rng = random.Random(53)
     seen = {"-0.0": 0, "int": 0, "rays": 0, "mixed": 0, "empty": 0, "inf distance": 0,
-            "finite distance": 0, "shift error": 0}
+            "finite distance": 0, "shift error": 0, "wide window": 0}
     for i in range(1200):
         kind = ("grid", "spread", "huge")[i % 3]
         tags = ("none", "all", "mixed", "all")[i // 3 % 4]
@@ -965,16 +977,17 @@ def test_array_queries_equal_the_list_queries():
         cols = new_queries(of_columns(bars), of_columns(other))
         assert {k: canon(v) for k, v in cols.items()} == \
             {k: canon(floats(k, v)) for k, v in got.items()}
-        if kind != "huge":                 # mu overflows there (old and new alike)
-            counts, caps = _corner_windows(b)
-            old_counts, old_caps = old_corner_windows(bars)
-            assert counts.tolist() == old_counts.tolist() and canon(caps) == canon(old_caps)
-            assert canon(_corner_windows(of_columns(bars))) == canon((counts, caps))
-            for k in (1, 2, 3):
-                old_mu = max(0.0, float(old_caps[old_counts == k].max(initial=0.0)))
-                assert canon(multiplicity_function(b, k)) == canon(old_mu)
-            old_odd = max(0.0, float(old_caps[old_counts % 2 == 1].max(initial=0.0)))
-            assert canon(mu_odd(b)) == canon(old_odd)
+        counts, caps = _corner_windows(b)
+        old_counts, old_caps = old_corner_windows(bars)
+        assert counts.tolist() == old_counts.tolist() and canon(caps) == canon(old_caps)
+        assert canon(_corner_windows(of_columns(bars))) == canon((counts, caps))
+        for k in (1, 2, 3):
+            old_mu = max(0.0, float(old_caps[old_counts == k].max(initial=0.0)))
+            assert canon(multiplicity_function(b, k)) == canon(old_mu)
+        old_odd = max(0.0, float(old_caps[old_counts % 2 == 1].max(initial=0.0)))
+        assert canon(mu_odd(b)) == canon(old_odd)
+        seen["wide window"] += kind == "huge" and any(
+            x.birth < -0.5e308 and x.death > 0.5e308 for x in bars)
         seen["-0.0"] += any(math.copysign(1, e) < 0 for e in want["finite_endpoints"] if e == 0)
         seen["int"] += any(type(e) is int for e in want["finite_endpoints"])
         seen["rays"] += any(x != 0 for x in want["ray_signature"])

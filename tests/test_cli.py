@@ -387,6 +387,19 @@ def test_cmd_max_dim_past_the_points_is_the_full_simplex(tmp_path, capsys, comma
     assert capsys.readouterr().out == small
 
 
+def test_cmd_mu_of_a_window_wider_than_the_float_range_prints_no_warning(tmp_path):
+    # the window (-1e308, 1e308] is 2e308 wide, past the float range
+    path = tmp_path / "wide.json"
+    dump_barcode(Barcode([Bar(-1e308, 1e308)]), str(path))
+    src = os.path.dirname(os.path.dirname(persimod.cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "persimod.cli", "invariants", str(path),
+                           "--mu-k", "1", "--mu-odd"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["mu_k"] == {"1": 5e307} and report["mu_odd"] == 5e307
+
+
 def test_cmd_invariants_empty_barcode(tmp_path, capsys):
     path = tmp_path / "empty.json"
     dump_barcode(Barcode([]), str(path))

@@ -17,8 +17,8 @@ from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
                                 rips_barcode, rips_complex,
                                 sublevel_filtration, torus_grid_complex,
                                 tree_metric_net, _nerve)
-from persimod.filtered_complex import (FilteredComplex, InvalidComplexError,
-                                       barcode_of_complex)
+from persimod.filtered_complex import (Cell, FilteredComplex, InvalidComplexError,
+                                       _order_key, barcode_of_complex)
 
 INF = math.inf
 S3 = math.sqrt(3)
@@ -419,9 +419,11 @@ def test_built_complex_checks_its_arrays():
     def value(k, facet_values):
         return np.array([0.0, 5.0]) if k == 0 else np.array([1.0])
 
-    with pytest.raises(InvalidComplexError, match=r"filtration increases along boundary of \(0, 1\)"):
-        FilteredComplex._of_simplices(range(2), np.arange(2),
+    # the builders skip the array check, so a wrong value goes through until it runs
+    c = FilteredComplex._of_simplices(range(2), np.arange(2),
                                       [np.array([[0], [1]]), np.array([[0, 1]])], value, 2)
+    with pytest.raises(InvalidComplexError, match=r"filtration increases along boundary of \(0, 1\)"):
+        c.__post_init__()
 
 
 def test_entry_values_keep_the_zero_sign_of_python_max():
@@ -431,3 +433,117 @@ def test_entry_values_keep_the_zero_sign_of_python_max():
         {(0, 1): "-0.0", (1, 2): "0.0", (0, 2): "-0.0"}
     rips = rips_complex(FiniteMetricSpace(np.array([[0.0, -0.0], [-0.0, 0.0]])), 1)
     assert [repr(cell.value) for cell in rips.cells_of_degree(1)] == ["0.0"]
+
+
+def seeded_builds(p, seed=0):
+    """Every builder's output on seeded inputs over F_p: random and tied
+    values with signed zeros, and Rips up to dimension 3."""
+    rng = np.random.default_rng(seed)
+    for trial in range(6):
+        tied = trial % 2 == 1
+        n = int(rng.integers(1, 12))
+        pts = rng.choice([0.0, -0.0, 0.5, 1.0], size=(n, 2)) if tied else rng.normal(size=(n, 2))
+        yield rips_complex(FiniteMetricSpace.from_points(pts), int(rng.integers(0, 4)), p)
+        yield cech_complex(PointCloud(pts[:6]), 2, p)
+        shape = tuple(int(v) for v in rng.integers(4, 11, size=2))
+        vals = rng.choice([0.0, -0.0, 1.0, -2.0], size=shape) if tied else rng.normal(size=shape)
+        yield torus_grid_complex(GridFunction(vals), p)
+        yield sublevel_filtration(*grid_triangulation(GridFunction(vals)), p)
+        m = int(rng.integers(3, 15))
+        yield circle_complex((rng.choice([0.0, -0.0, 1.0], size=m) if tied
+                              else rng.normal(size=m)).tolist(), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_builder_output_passes_the_array_check(p):
+    builds = list(seeded_builds(p))
+    assert len(builds) == 30
+    for c in builds:
+        c.__post_init__()    # faces not above their cell, and d(d) = 0
+        for k in range(c.max_degree + 1):
+            cells = c.cells_of_degree(k)
+            assert [x.id for x in cells] == [x.id for x in sorted(cells, key=_order_key)]
+
+
+def test_no_builder_runs_the_array_check(monkeypatch):
+    calls = []
+    check = FilteredComplex.__post_init__
+    monkeypatch.setattr(FilteredComplex, "__post_init__", lambda self: calls.append(check(self)))
+    for p in (2, 3):
+        assert len(list(seeded_builds(p))) == 30
+    rips_barcode(FiniteMetricSpace.from_points(regular_polygon_points(6)), 3)
+    cech_barcode(PointCloud(regular_polygon_points(5)), 2)
+    assert calls == []
+    # the hand-made route still runs it, once
+    FilteredComplex([Cell("v", 0, 0.0), Cell("e", 1, 1.0)], {"e": {"v": 1}}, 2)
+    assert calls == [None]
+
+
+BUILDERS = {
+    "rips_complex": lambda p: rips_complex(FiniteMetricSpace.from_points([[0, 0], [1, 0]]), 1, p),
+    "cech_complex": lambda p: cech_complex(PointCloud([[0, 0], [1, 0]]), 1, p),
+    "torus_grid_complex": lambda p: torus_grid_complex(GridFunction(np.zeros((4, 4))), p),
+    "sublevel_filtration": lambda p: sublevel_filtration(Triangulation([(0, 1)]),
+                                                         {0: 0.0, 1: 1.0}, p),
+    "circle_complex": lambda p: circle_complex([0.0, 1.0, 2.0], p),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p, message", [(4, "must be prime, got 4"),
+                                        (2 ** 63, "must be below 2^63")])
+def test_builders_refuse_characteristics_that_are_no_field(builder, p, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BUILDERS[builder](p)
+    assert BUILDERS[builder](5).p == 5
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+def test_builders_refuse_non_finite_vertex_values(bad):
+    grid = np.zeros((4, 5))
+    grid[2, 3] = grid[3, 0] = bad
+    with pytest.raises(ValueError, match=re.escape(f"vertex (2, 3) has the non-finite value {bad}")):
+        GridFunction(grid)
+    t = Triangulation([("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match=re.escape(f"vertex 'b' has the non-finite value {bad}")):
+        sublevel_filtration(t, {"a": 0.0, "b": bad, "c": bad})
+    with pytest.raises(ValueError, match=re.escape(f"vertex 1 has the non-finite value {bad}")):
+        circle_complex([0.0, bad, 1.0, bad])
+
+
+def test_torus_and_circle_values_are_bit_identical_to_the_sublevel_route():
+    # a wrap-around simplex takes its max over its sorted vertices, as a
+    # Triangulation's sorted simplices do, so the zero signs agree too
+    def bits(c):
+        return [[(x.id, x.value.hex()) for x in c.cells_of_degree(k)]
+                for k in range(c.max_degree + 1)]
+
+    rng = np.random.default_rng(29)
+    negative_zeros = 0
+    for shape in ((4, 4), (5, 7), (6, 4), (4, 9), (9, 6)):
+        g = GridFunction(rng.choice([0.0, -0.0], size=shape))
+        torus = bits(torus_grid_complex(g))
+        assert torus == bits(sublevel_filtration(*grid_triangulation(g)))
+        negative_zeros += sum(v == "-0x0.0p+0" for cells in torus for _, v in cells)
+    for n in (3, 4, 9):
+        samples = rng.choice([0.0, -0.0], size=n).tolist()
+        cycle = Triangulation([(i, (i + 1) % n) for i in range(n)])
+        assert bits(circle_complex(samples)) == \
+            bits(sublevel_filtration(cycle, dict(enumerate(samples))))
+    assert negative_zeros > 50
+    # the wrap-around edge (2, 0) of the circle enters at +0.0, the value of its sorted row
+    assert [x.value.hex() for x in circle_complex([0.0, 1.0, -0.0]).cells_of_degree(1)][:1] \
+        == ["0x0.0p+0"]
+
+
+def test_tie_codes_stay_in_int64_at_high_dimensions():
+    # the ranks of 17 vertices as base-17 digits would pass 2^63 at degree 15;
+    # a code built on the place of the facet stays below 17 times the cells below
+    rng = np.random.default_rng(31)
+    c = rips_complex(FiniteMetricSpace.from_points(rng.choice([0.0, 1.0], size=(17, 2))), 16)
+    assert c.n_cells() == 2 ** 17 - 1
+    rank = persimod.complexes._repr_rank(range(17))
+    for k, rows in c._vertices.items():
+        # values first, then the vertex ranks in turn: the order of the ids' reprs
+        keys = [rank[rows[:, t]] for t in range(k, -1, -1)] + [c._block(k).values]
+        assert (np.lexsort(keys) == np.arange(len(rows))).all()
