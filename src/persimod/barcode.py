@@ -51,6 +51,15 @@ UNTAGGED = -1          # the degree array's entry for a bar without a degree
 DEGREE_LIMIT = 2 ** 31  # degrees are 0 .. DEGREE_LIMIT - 1, so none is UNTAGGED
 
 
+def check_degree(i: int, d) -> None:
+    """Refuse the degree d of bar i unless it is None or an int (not a bool,
+    nor a numpy integer, which JSON cannot hold) in 0 .. DEGREE_LIMIT - 1."""
+    if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
+        raise ValueError(f"bar {i}: degree must be an integer or null")
+    if d is not None and not 0 <= d < DEGREE_LIMIT:
+        raise ValueError(f"bar {i}: degree {d} is outside 0 .. {DEGREE_LIMIT - 1}")
+
+
 class Barcode:
     """Finite multiset of bars, held as three arrays in bar order: float64
     births and deaths, and int64 degrees (UNTAGGED for a bar without one).
@@ -61,8 +70,7 @@ class Barcode:
         bars = [] if bars is None else bars
         tags = [bar.degree for bar in bars]
         for i, d in enumerate(tags):
-            if d is not None and not 0 <= d < DEGREE_LIMIT:
-                raise ValueError(f"bar {i}: degree {d} is outside 0 .. {DEGREE_LIMIT - 1}")
+            check_degree(i, d)
         self._fill(np.array([bar.birth for bar in bars], dtype=float),
                    np.array([bar.death for bar in bars], dtype=float),
                    np.array([UNTAGGED if d is None else d for d in tags], dtype=np.int64), bars)
@@ -204,7 +212,7 @@ def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool
     *c*, (iii) every matched pair has cost <= delta.  "Longer" is tested as
     length / 2 > delta, which no overflow of 2*delta can flip.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
     if not all(0 <= i < len(b) and 0 <= j < len(c) for i, j in m.pairs):
         raise IndexError("matching refers to a bar index out of range")

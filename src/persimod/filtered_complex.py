@@ -222,6 +222,9 @@ def _convert(cells: list[Cell], boundary: dict, p: int):
         same.append(cell)
     if len(where) != len(cells):
         raise InvalidComplexError("duplicate cell ids")
+    for key in boundary:
+        if key not in where:
+            raise InvalidComplexError(f"boundary given for unknown cell {key}")
     columns = {k: [None] * len(same) for k, same in cells_of.items()}
     for c in cells:
         col = {}

@@ -309,54 +309,35 @@ def image(f: ModuleMorphism) -> ModuleRep:
 # induced matchings
 
 
-def _check_injection_counts(b: list[Bar], c: list[Bar]) -> None:
-    deaths = {bar.death for bar in b} | {bar.death for bar in c}
-    for d in deaths:
-        bs = sorted(bar.birth for bar in b if bar.death == d)
-        cs = sorted(bar.birth for bar in c if bar.death == d)
-        if len(bs) > len(cs) or any(bb < cc for bb, cc in zip(bs, cs)):
-            raise NoInjectionWitnessError(
-                f"no injection can exist: counting fails at death {d}")
+def _induced_pairs(full: list[Bar], other: list[Bar], end: str, key, kind: str):
+    """Pairs (i, j) of full[i] and other[j] with the same `end`, in key order
+    per group: every bar of full is matched.  Raises when counting fails, if a
+    group of full outnumbers other's or a bar precedes its partner by key."""
+    groups: tuple[dict, dict] = ({}, {})
+    for bars, group in zip((full, other), groups):
+        for i, bar in enumerate(bars):
+            group.setdefault(getattr(bar, end), []).append(i)
+    pairs = []
+    for e in {getattr(bar, end) for bar in full}:
+        fi = sorted(groups[0][e], key=lambda i: (key(full[i]), i))
+        oi = sorted(groups[1].get(e, []), key=lambda j: (key(other[j]), j))
+        if len(fi) > len(oi) or any(key(full[i]) < key(other[j]) for i, j in zip(fi, oi)):
+            raise NoInjectionWitnessError(f"no {kind} can exist: counting fails at {end} {e}")
+        pairs.extend(zip(fi, oi))
+    return pairs
 
 
 def induced_matching_inj(b: Barcode, c: Barcode) -> Matching:
     """Matching induced by any injection: per death value, match bars
     longest-first.  Raises when the counting inequalities fail."""
-    _check_injection_counts(b.bars, c.bars)
-    pairs = []
-    deaths = {bar.death for bar in b.bars}
-    for d in deaths:
-        bi = sorted((i for i, bar in enumerate(b.bars) if bar.death == d),
-                    key=lambda i: (b.bars[i].birth, i))
-        ci = sorted((j for j, bar in enumerate(c.bars) if bar.death == d),
-                    key=lambda j: (c.bars[j].birth, j))
-        pairs.extend(zip(bi, ci))
-    return Matching(pairs)
-
-
-def _check_surjection_counts(b: list[Bar], c: list[Bar]) -> None:
-    births = {bar.birth for bar in b} | {bar.birth for bar in c}
-    for bb in births:
-        bs = sorted((bar.death for bar in b if bar.birth == bb), reverse=True)
-        cs = sorted((bar.death for bar in c if bar.birth == bb), reverse=True)
-        if len(bs) < len(cs) or any(db < dc for db, dc in zip(bs, cs)):
-            raise NoInjectionWitnessError(
-                f"no surjection can exist: counting fails at birth {bb}")
+    return Matching(_induced_pairs(b.bars, c.bars, "death", lambda bar: bar.birth, "injection"))
 
 
 def induced_matching_sur(b: Barcode, c: Barcode) -> Matching:
     """Matching induced by any surjection: per birth value, match bars
     longest-first (every bar of c ends up matched)."""
-    _check_surjection_counts(b.bars, c.bars)
-    pairs = []
-    births = {bar.birth for bar in c.bars}
-    for bb in births:
-        bi = sorted((i for i, bar in enumerate(b.bars) if bar.birth == bb),
-                    key=lambda i: (-b.bars[i].death, i))
-        ci = sorted((j for j, bar in enumerate(c.bars) if bar.birth == bb),
-                    key=lambda j: (-c.bars[j].death, j))
-        pairs.extend(zip(bi, ci))
-    return Matching(pairs)
+    pairs = _induced_pairs(c.bars, b.bars, "birth", lambda bar: -bar.death, "surjection")
+    return Matching([(i, j) for j, i in pairs])
 
 
 def induced_matching(f: ModuleMorphism) -> Matching:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 
-from .barcode import Bar, Barcode
+from .barcode import Bar, Barcode, check_degree
 
 INF = math.inf
 
@@ -49,8 +49,7 @@ def barcode_from_dict(d: dict) -> Barcode:
         if not isinstance(rec, dict) or "birth" not in rec or "death" not in rec:
             raise ValueError(f"bar {i}: need birth and death")
         degree = rec.get("degree")
-        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
-            raise ValueError(f"bar {i}: degree must be an integer or null")
+        check_degree(i, degree)
         bars.append(Bar(_num_in(rec["birth"]), _num_in(rec["death"]), degree))
     return Barcode(bars)
 

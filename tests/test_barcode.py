@@ -75,6 +75,9 @@ def test_is_delta_matching():
     assert not is_delta_matching(b, c, Matching([(0, 0)]), 0.5)
     with pytest.raises(IndexError):
         is_delta_matching(b, c, Matching([(5, 0)]), 1.0)
+    # NaN compares false to everything, so "delta < 0" let it through
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        is_delta_matching(Barcode([Bar(0, 10)]), Barcode([]), Matching([]), math.nan)
 
 
 def test_matching_partial_bijection():

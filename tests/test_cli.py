@@ -31,8 +31,17 @@ def write_hexagon_csv(path):
 
 
 def test_json_roundtrip():
-    b = Barcode([Bar(0.1, INF, 0), Bar(-INF, 2.25, None), Bar(1 / 3, 2 / 3, 5)])
-    assert barcode_from_dict(barcode_to_dict(b)) == b
+    b = Barcode([Bar(0.1, INF, 0), Bar(-INF, 2.25, None), Bar(1 / 3, 2 / 3, 5),
+                 Bar(0, 1, 2 ** 31 - 1)])
+    assert barcode_from_dict(json.loads(json.dumps(barcode_to_dict(b)))) == b
+
+
+@pytest.mark.parametrize("degree", [True, False, 1.0, np.int64(1), "1"])
+def test_barcode_refuses_degrees_the_loader_refuses(degree):
+    # each of them used to reach barcode_to_dict, whose JSON the loader then
+    # refused (or json.dumps failed on, for the numpy integer)
+    with pytest.raises(ValueError, match="^bar 1: degree must be an integer or null$"):
+        Barcode([Bar(0, 1, 0), Bar(0, 1, degree)])
 
 
 def test_json_schema_errors():

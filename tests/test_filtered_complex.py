@@ -104,6 +104,15 @@ def test_validation_unknown_face_with_zero_coefficient():
         FilteredComplex([Cell("a", 0, 0), Cell("b", 1, 1)], {"b": {"z": 3}}, p=3)
 
 
+def test_validation_boundary_of_an_unknown_cell():
+    # a boundary keyed by no cell was ignored, leaving s a ray
+    cells = [Cell("x", 0, 0.0), Cell("y", 0, 0.0), Cell("s", 1, 1.0)]
+    with pytest.raises(InvalidComplexError, match="boundary given for unknown cell S"):
+        FilteredComplex(cells, {"S": {"x": 1, "y": 1}}, 2)
+    with pytest.raises(InvalidComplexError, match="unknown cell S"):
+        FilteredComplex(cells, {"s": {"x": 1, "y": 1}, "S": {}}, 2)
+
+
 def test_reduction_leaves_the_complex_unchanged():
     c = random_filtered_complex(random.Random(7), max_cells=30, max_degree=3, p=5)
     modules = [homology_module(c, k) for k in range(c.max_degree + 1)]

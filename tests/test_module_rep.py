@@ -343,6 +343,127 @@ def test_induced_matching_precondition_errors():
         induced_matching_sur(Barcode([Bar(0, 2)]), Barcode([Bar(0, 3)]))
 
 
+# The induced matchings as two checks and two pairing loops, kept as the
+# oracle of the single routine that pairs and counts in one pass.
+
+def old_check_injection_counts(b: list[Bar], c: list[Bar]) -> None:
+    deaths = {bar.death for bar in b} | {bar.death for bar in c}
+    for d in deaths:
+        bs = sorted(bar.birth for bar in b if bar.death == d)
+        cs = sorted(bar.birth for bar in c if bar.death == d)
+        if len(bs) > len(cs) or any(bb < cc for bb, cc in zip(bs, cs)):
+            raise NoInjectionWitnessError(
+                f"no injection can exist: counting fails at death {d}")
+
+
+def old_induced_matching_inj(b: Barcode, c: Barcode) -> Matching:
+    old_check_injection_counts(b.bars, c.bars)
+    pairs = []
+    deaths = {bar.death for bar in b.bars}
+    for d in deaths:
+        bi = sorted((i for i, bar in enumerate(b.bars) if bar.death == d),
+                    key=lambda i: (b.bars[i].birth, i))
+        ci = sorted((j for j, bar in enumerate(c.bars) if bar.death == d),
+                    key=lambda j: (c.bars[j].birth, j))
+        pairs.extend(zip(bi, ci))
+    return Matching(pairs)
+
+
+def old_check_surjection_counts(b: list[Bar], c: list[Bar]) -> None:
+    births = {bar.birth for bar in b} | {bar.birth for bar in c}
+    for bb in births:
+        bs = sorted((bar.death for bar in b if bar.birth == bb), reverse=True)
+        cs = sorted((bar.death for bar in c if bar.birth == bb), reverse=True)
+        if len(bs) < len(cs) or any(db < dc for db, dc in zip(bs, cs)):
+            raise NoInjectionWitnessError(
+                f"no surjection can exist: counting fails at birth {bb}")
+
+
+def old_induced_matching_sur(b: Barcode, c: Barcode) -> Matching:
+    old_check_surjection_counts(b.bars, c.bars)
+    pairs = []
+    births = {bar.birth for bar in c.bars}
+    for bb in births:
+        bi = sorted((i for i, bar in enumerate(b.bars) if bar.birth == bb),
+                    key=lambda i: (-b.bars[i].death, i))
+        ci = sorted((j for j, bar in enumerate(c.bars) if bar.birth == bb),
+                    key=lambda j: (-c.bars[j].death, j))
+        pairs.extend(zip(bi, ci))
+    return Matching(pairs)
+
+
+MATCHING_GRID = (0, 1, 1.5, 2, 3.25, 4)
+
+
+def grid_value(rng: random.Random, x):
+    """x as an int or a float at random, when it is integral."""
+    return int(x) if x == int(x) and rng.random() < 0.5 else float(x)
+
+
+def grid_bar(rng: random.Random) -> Bar:
+    i, j = sorted(rng.sample(range(len(MATCHING_GRID)), 2))
+    birth = -INF if rng.random() < 0.15 else grid_value(rng, MATCHING_GRID[i])
+    death = INF if rng.random() < 0.15 else grid_value(rng, MATCHING_GRID[j])
+    return Bar(birth, death)
+
+
+def shortened(rng: random.Random, bars: list[Bar], end: str) -> list[Bar]:
+    """A random sub-multiset of bars, each moved up at its birth (end
+    "birth") or down at its death (end "death") to a grid value, or kept."""
+    out = []
+    for bar in rng.sample(bars, rng.randint(0, len(bars))):
+        inside = [grid_value(rng, x) for x in MATCHING_GRID if bar.birth < x < bar.death]
+        if inside and rng.random() < 0.5:
+            bar = (Bar(rng.choice(inside), bar.death) if end == "birth"
+                   else Bar(bar.birth, rng.choice(inside)))
+        out.append(bar)
+    return out
+
+
+def matching_pair(rng: random.Random) -> tuple[Barcode, Barcode]:
+    """Barcodes sharing endpoints: c holds an injection's image of b, b a
+    surjection's preimage of c, or both are random."""
+    kind = rng.randrange(3)
+    big = [grid_bar(rng) for _ in range(rng.randint(0, 6))]
+    if kind == 0:
+        return Barcode(shortened(rng, big, "birth")), Barcode(big)
+    if kind == 1:
+        return Barcode(big), Barcode(shortened(rng, big, "death"))
+    return Barcode(big), Barcode([grid_bar(rng) for _ in range(rng.randint(0, 6))])
+
+
+def outcome(match, b, c):
+    try:
+        return match(b, c).pairs
+    except NoInjectionWitnessError as e:
+        return e
+
+
+def test_induced_matchings_equal_the_check_then_pair_oracle():
+    rng = random.Random(24)
+    seen = {"pairs": 0, "raised": 0}
+    for _ in range(10_000):
+        b, c = matching_pair(rng)
+        for new, old, end in ((induced_matching_inj, old_induced_matching_inj, "death"),
+                              (induced_matching_sur, old_induced_matching_sur, "birth")):
+            got, want = outcome(new, b, c), outcome(old, b, c)
+            assert type(got) is type(want), (b, c, end)
+            if isinstance(want, list):
+                assert got == want, (b, c, end)
+                seen["pairs"] += 1
+                continue
+            seen["raised"] += 1
+            # the group the message names fails the counting on its own
+            e = float(str(got).rsplit(" ", 1)[1])
+            assert f"counting fails at {end} " in str(got)
+            same = [[bar for bar in x.bars if getattr(bar, end) == e] for x in (b, c)]
+            check = (old_check_injection_counts if end == "death"
+                     else old_check_surjection_counts)
+            with pytest.raises(NoInjectionWitnessError):
+                check(*same)
+    assert min(seen.values()) > 5_000, seen
+
+
 def test_induced_matching_through_image():
     f = interval_pair_morphism([Bar(1, 3), Bar(1, 2)], [Bar(3, 4), Bar(0, 2)],
                                [(Bar(1, 2), Bar(0, 2))])
@@ -387,6 +508,8 @@ def test_interleaving_from_matching_cases():
     assert not any(m.any() for m in f.components)
     with pytest.raises(ValueError):
         interleaving_from_matching(b, c, Matching([]), 0.2)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        interleaving_from_matching(b, b, Matching([(0, 0)]), math.nan)
 
 
 def test_stability_roundtrip_random():
