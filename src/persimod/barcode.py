@@ -9,7 +9,6 @@ repetition in the bar list.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -197,12 +196,15 @@ def _cost_matrix(b: Barcode, c: Barcode) -> np.ndarray:
     """The len(b) x len(c) matrix of bar_match_cost values, by the same
     rules: 0 for equal endpoints (inf/inf too), inf when exactly one is
     infinite, the IEEE abs(a - b) otherwise (inf when it overflows)."""
-    def diff(x, y):
-        x, y = x[:, None], y[None, :]
+    def diff(x, y):    # in place, so that at most two matrices are alive
         with np.errstate(invalid="ignore", over="ignore"):   # inf - inf; masked below
-            return np.where(x == y, 0.0, np.abs(x - y))
+            out = np.subtract.outer(x, y)
+        np.abs(out, out=out)
+        out[np.equal.outer(x, y)] = 0.0
+        return out
 
-    return np.maximum(diff(b.births, c.births), diff(b.deaths, c.deaths))
+    out = diff(b.births, c.births)
+    return np.maximum(out, diff(b.deaths, c.deaths), out=out)
 
 
 def is_delta_matching(b: Barcode, c: Barcode, m: Matching, delta: float) -> bool:
@@ -235,33 +237,52 @@ def _greedy_start(adj: list[list[int]], n_other: int) -> tuple[list[int], list[i
     return partner, unmatched
 
 
+def _kuhn(root: int, adj, partner: list[int], came: list[int], stamp: list[int],
+          seen: list[int], stack: list) -> int:
+    """Kuhn's depth-first search from *root* for a free column, on an
+    explicit stack of (row, its untried columns), so no recursion limit
+    applies.  Each column reached is stamped root, appended to *seen*, and
+    keeps in *came* the row it was reached from; a held column leads on to
+    its holder's row.  Returns the free column found, or -1 once every
+    column in reach is held."""
+    while stack:
+        u, untried = stack[-1]
+        for v in untried:
+            if stamp[v] != root:
+                break
+        else:                    # dead end: back up one step
+            stack.pop()
+            continue
+        stamp[v], came[v] = root, u
+        seen.append(v)
+        if partner[v] == -1:
+            return v
+        stack.append((partner[v], iter(adj[partner[v]])))
+    return -1
+
+
+def _flip(v: int, root: int, came: list[int], partner: list[int], match: list[int]) -> None:
+    """Augment along the path _kuhn found to the free column v: each row on
+    it, back up to root, takes the column it reached."""
+    while True:
+        u = came[v]
+        partner[v], match[u], v = u, v, match[u]
+        if u == root:
+            return
+
+
 def _augment(roots: list[int], adj: list[list[int]], partner: list[int]) -> Optional[list[int]]:
     """Kuhn's search: augment *partner* from each root in turn, or None at
     the first root with no augmenting path (no later augmentation adds one)."""
-    stamp = [-1] * len(partner)              # stamp[v] == root: v seen from root
+    stamp, came, match = [-1] * len(partner), [-1] * len(partner), [-1] * len(adj)
+    for v, u in enumerate(partner):
+        if u != -1:
+            match[u] = v
     for root in roots:
-        # depth-first search on an explicit stack of (vertex, its untried
-        # edges), so no recursion limit applies; stack[d] reached stack[d + 1]
-        # through the other-side vertex taken[d]
-        stack, taken = [(root, iter(adj[root]))], []
-        while stack:
-            for v in stack[-1][1]:
-                if stamp[v] != root:
-                    break
-            else:                    # dead end: back up one step
-                stack.pop()
-                if taken:
-                    taken.pop()
-                continue
-            stamp[v] = root
-            taken.append(v)
-            if partner[v] == -1:     # augment along the path
-                for (u, _), w in zip(stack, taken):
-                    partner[w] = u
-                break
-            stack.append((partner[v], iter(adj[partner[v]])))
-        else:
+        v = _kuhn(root, adj, partner, came, stamp, [], [(root, iter(adj[root]))])
+        if v == -1:
             return None
+        _flip(v, root, came, partner, match)
     return partner
 
 
@@ -275,7 +296,7 @@ def _neighbours(mask: np.ndarray) -> list[list[int]]:
 def _feasible_matching_at(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray,
                           delta: float) -> Optional[list[tuple[int, int]]]:
     """A delta-matching between two pools, or None if none exists; only
-    optimal_matching builds one, as bisection probes ask _delta_feasible.
+    optimal_matching builds one, at the distance bottleneck_distance found.
 
     *cost* is _cost_matrix(b, c), len_* the float lengths.  Every bar of
     length > 2*delta on either side must be matched, at cost <= delta.  A
@@ -325,30 +346,99 @@ def _feasible_matching_at(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray
     return [(u, v) for u, v in enumerate(match_b) if v != -1]
 
 
-def _delta_feasible(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray, delta: float) -> bool:
-    """Whether _feasible_matching_at finds a delta-matching, without its merge
-    (len_*: float lengths).  Each side augments from the mandatory bars that
-    a greedy start left unmatched; any start is a matching, so it is exact."""
-    close = cost <= delta
-    for mask, lengths in ((close, len_b), (close.T, len_c)):
-        adj = _neighbours(mask[np.flatnonzero(lengths / 2 > delta)])
-        partner, unmatched = _greedy_start(adj, mask.shape[1])
-        if _augment(unmatched, adj, partner) is None:
-            return False
-    return True
-
-
-def _candidates_above(floor: float, cost: np.ndarray, len_b: np.ndarray,
-                      len_c: np.ndarray) -> list[float]:
-    """Sorted distinct finite pair costs and half-lengths above *floor*."""
-    values = np.concatenate([cost.ravel(), len_b / 2, len_c / 2])
-    return np.unique(values[(values > floor) & (values < INF)]).tolist()
-
-
 def bottleneck_candidates(b: Barcode, c: Barcode) -> list[float]:
     """Sorted deltas where feasibility can change: 0, the finite pair
     costs and the finite half-lengths."""
-    return [0.0] + _candidates_above(0.0, _cost_matrix(b, c), b._lengths(), c._lengths())
+    values = np.concatenate([_cost_matrix(b, c).ravel(), b._lengths() / 2, c._lengths() / 2])
+    return [0.0] + np.unique(values[(values > 0.0) & (values < INF)]).tolist()
+
+
+class _Reach(dict):
+    """Row k -> the ascending columns j with cost[rows[k], j] <= delta, for
+    _least_cover: each list is made when first read, at the delta of then."""
+
+    def __init__(self, cost: np.ndarray, rows: np.ndarray, delta: float, lists: list[list[int]]):
+        super().__init__(enumerate(lists))
+        self.cost, self.rows, self.delta = cost, rows.tolist(), delta
+
+    def __missing__(self, k: int) -> list[int]:
+        self[k] = out = (self.cost[self.rows[k]] <= self.delta).nonzero()[0].tolist()
+        return out
+
+
+def _least_cover(cost: np.ndarray, half: np.ndarray, delta: float) -> float:
+    """The least delta' >= delta at which the rows with half > delta' can be
+    matched to distinct columns at cost <= delta' (half: the rows'
+    half-lengths).  As delta' rises, rows only leave and edges only join,
+    so this is a threshold, and it is delta, a cost or a half-length.
+
+    A greedy start, then Kuhn's search from each unmatched row.  A stuck
+    search has visited rows S whose columns in reach T are all held by S
+    minus its root: a Hall violator until delta reaches S's cheapest exit,
+    min(cheapest cost from S to a column outside T, smallest half-length in
+    S), so delta rises to that.  Rows whose half-length it reaches give up
+    their columns, and the root's ends its search; else the search goes on
+    from its visited tree, along the edges the raise let in.  Until the
+    search ends, lists made before a raise lack those edges, so a later exit
+    may be one of them, at or below delta: the search follows it, and delta
+    never goes down.
+    """
+    rows, n_cols = np.flatnonzero(half > delta), cost.shape[1]    # rows: only fewer later
+    lists = _neighbours((cost <= delta)[rows])
+    partner, roots = _greedy_start(lists, n_cols)    # column -> row
+    if not roots:
+        return delta
+    cost = np.ascontiguousarray(cost)    # rows are read one by one from here on
+    h = half[rows].tolist()
+    by_half, kept = np.argsort(half[rows], kind="stable").tolist(), 0    # by_half[kept:] mandatory
+    match = [-1] * len(rows)                         # row -> column
+    for v, u in enumerate(partner):
+        if u != -1:
+            match[u] = v
+    adj = _Reach(cost, rows, delta, lists)
+    stamp, came, in_tree = [-1] * n_cols, [-1] * n_cols, np.zeros(n_cols, dtype=bool)
+    for root in roots:
+        if h[root] <= delta:
+            continue
+        seen, stack, folded, slack = [], [(root, iter(adj[root]))], 0, None
+        while (v := _kuhn(root, adj, partner, came, stamp, seen, stack)) == -1:
+            # fold the rows reached since the last raise into S's cheapest
+            # exits: slack[j] over the columns j, and low over the half-lengths
+            new = [partner[w] for w in seen[folded:]]
+            if slack is None:
+                new.append(root)
+                slack, via, low = np.full(n_cols, INF), np.zeros(n_cols, dtype=np.int64), INF
+            in_tree[seen[folded:]] = True
+            folded = len(seen)
+            sub = cost[rows[new]]
+            best = sub.argmin(axis=0)
+            cheapest = sub[best, np.arange(n_cols)]
+            better = cheapest < slack
+            slack[better], via[better] = cheapest[better], np.array(new)[best[better]]
+            low = min(low, min(h[u] for u in new))
+            delta = max(delta, min(np.where(in_tree, INF, slack).min(initial=INF).item(), low))
+            if delta == INF:
+                return INF
+            adj.delta = delta
+            while kept < len(by_half) and h[by_half[kept]] <= delta:
+                u, kept = by_half[kept], kept + 1
+                if match[u] != -1:
+                    partner[match[u]] = -1
+                    match[u] = -1
+            if h[root] <= delta:
+                break
+            # the first freed column in visiting order has no freed one above it
+            v = next((w for w in seen if partner[w] == -1), -1)
+            if v != -1:
+                break
+            ws = np.flatnonzero(~in_tree & (slack <= delta))[::-1]    # first on top
+            stack = [(u, iter((w,))) for u, w in zip(via[ws].tolist(), ws.tolist())]
+        if v != -1:
+            _flip(v, root, came, partner, match)
+        if slack is not None:    # delta rose: drop the stale lists
+            in_tree[seen] = False
+            adj.clear()
+    return delta
 
 
 def _ray_signature(b: Barcode) -> tuple[int, int, int]:
@@ -373,32 +463,29 @@ def _bottleneck_single_pool(b: Barcode, c: Barcode) -> float:
         return INF
     cost, len_b, len_c = _cost_matrix(b, c), b._lengths(), c._lengths()
     # Floor: the largest cheapest exit, min(half-length, nearest partner),
-    # over the bars of both sides.  Below it the bar attaining it is
-    # mandatory with no partner in reach, so it is the first candidate
-    # that can be feasible, and often the answer.
+    # over the bars of both sides; below it the bar attaining it is
+    # mandatory with no partner in reach.
     floor = max(np.minimum(len_b / 2, cost.min(axis=1, initial=INF)).max(initial=0.0),
                 np.minimum(len_c / 2, cost.min(axis=0, initial=INF)).max(initial=0.0)).item()
-    if _delta_feasible(cost, len_b, len_c, floor):
-        return floor
-    # Bisect above the floor; +inf, where no bar is mandatory, closes the
-    # list, since overflowed costs can leave every finite candidate infeasible.
-    candidates = _candidates_above(floor, cost, len_b, len_c) + [INF]
-    return candidates[bisect.bisect_left(
-        candidates, True, hi=len(candidates) - 1,
-        key=lambda delta: _delta_feasible(cost, len_b, len_c, delta))]
+    # A delta-matching exists iff each side's mandatory bars can be covered
+    # on its own (Mendelsohn-Dulmage), so the distance is the larger of the
+    # two sides' least covers: b's from the floor, then c's from b's.
+    return _least_cover(cost.T, len_c / 2, _least_cover(cost, len_b / 2, floor))
 
 
 def bottleneck_distance(b: Barcode, c: Barcode) -> float:
     """Exact bottleneck distance.
 
-    The infimum is attained on the finite candidate set of pair costs and
-    half-lengths; feasibility at a candidate is a bipartite matching
-    problem.  Each pool first probes its floor, the largest cheapest exit
-    of a bar, and bisects over the candidates above it only if that probe
-    fails.  Returns +inf when infinite-ray counts differ, or when lengths
-    and costs overflow.  If both barcodes are fully degree-tagged the
-    distance is computed per degree and combined by maximum, otherwise as a
-    single pool.
+    The infimum is attained at a pair cost or a half-length.  A
+    delta-matching exists iff the long bars of each side can be matched on
+    their own, so each pool's distance is the larger of two one-sided
+    thresholds (_least_cover).  Each is searched from the pool's floor, the
+    largest cheapest exit of a bar, by Kuhn's augmenting paths; a stuck
+    search proves a Hall violator and raises delta to its cheapest exit, a
+    pair cost or a half-length, with no bisection and no list of candidates.
+    Returns +inf when infinite-ray counts differ, or when lengths and costs
+    overflow.  If both barcodes are fully degree-tagged the distance is
+    computed per degree and combined by maximum, otherwise as a single pool.
     """
     return max((_bottleneck_single_pool(x, y) for x, y, _, _ in _pools(b, c)), default=0.0)
 

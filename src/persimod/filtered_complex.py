@@ -214,6 +214,9 @@ def _convert(cells: list[Cell], boundary: dict, p: int):
     """Check cells and boundary face by face, in the order given, and
     convert them: the cells of each degree in reduction order, and their
     blocks."""
+    for cell in cells:    # NaN would pass every face check below
+        if not math.isfinite(cell.value):
+            raise InvalidComplexError(f"cell {cell.id} has the non-finite value {cell.value}")
     cells_of: dict[int, list[Cell]] = {}
     where: dict = {}  # cell id -> (cell, index within its degree)
     for cell in sorted(cells, key=_order_key):

@@ -10,9 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from persimod.barcode import (Bar, Barcode, Matching, _candidates_above,
-                              _corner_windows, _cost_matrix,
-                              _delta_feasible, _feasible_matching_at,
+from persimod.barcode import (Bar, Barcode, Matching, _augment,
+                              _corner_windows, _cost_matrix, _feasible_matching_at,
                               _greedy_start, _neighbours, _ray_signature,
                               bar_match_cost, beta_k,
                               bottleneck_bruteforce, bottleneck_candidates,
@@ -513,6 +512,29 @@ def probe_pair(rng):
     return side(), side()
 
 
+# -- the bisection probe, kept as the oracle for the least-cover search ------
+
+
+def _delta_feasible(cost: np.ndarray, len_b: np.ndarray, len_c: np.ndarray, delta: float) -> bool:
+    """Whether _feasible_matching_at finds a delta-matching, without its merge
+    (len_*: float lengths).  Each side augments from the mandatory bars that
+    a greedy start left unmatched; any start is a matching, so it is exact."""
+    close = cost <= delta
+    for mask, lengths in ((close, len_b), (close.T, len_c)):
+        adj = _neighbours(mask[np.flatnonzero(lengths / 2 > delta)])
+        partner, unmatched = _greedy_start(adj, mask.shape[1])
+        if _augment(unmatched, adj, partner) is None:
+            return False
+    return True
+
+
+def _candidates_above(floor: float, cost: np.ndarray, len_b: np.ndarray,
+                      len_c: np.ndarray) -> list[float]:
+    """Sorted distinct finite pair costs and half-lengths above *floor*."""
+    values = np.concatenate([cost.ravel(), len_b / 2, len_c / 2])
+    return np.unique(values[(values > floor) & (values < INF)]).tolist()
+
+
 def test_probe_equals_the_matching_search():
     # the bisection probe must answer exactly what building the matching
     # answers, at every candidate delta
@@ -582,7 +604,7 @@ def test_distance_is_bit_identical_to_the_full_bisection():
 def test_no_candidate_below_the_floor_is_feasible():
     # the floor's bar must be matched below it and has no partner in reach,
     # so the floor is a lower bound; pools answered by the floor itself and
-    # pools that bisect above it must both occur
+    # pools whose search raises delta above it must both occur
     rng = random.Random(43)
     at_floor = above = 0
     for _ in range(40):
@@ -624,6 +646,82 @@ def test_probe_follows_a_path_as_long_as_the_pool():
         assert not _delta_feasible(cost, lengths, lengths, 1.0)
     finally:
         sys.setrecursionlimit(old_limit)
+
+
+def same_as_full_bisection(b, c):
+    got = bottleneck_distance(b, c)
+    assert got.hex() == bottleneck_by_full_bisection(b, c).hex(), (b.bars, c.bars)
+    return got
+
+
+def test_staircase_raises_delta_once_per_step():
+    # bars of length 152, b_i dying at 100 i and c_i at 100 i + 50 + i/4,
+    # shifted along the diagonal, so b_i - c_i costs 50 + i/4 and
+    # b_(i+1) - c_i 50 - i/4; c_(k-1) is shorter (half-length 50) and close
+    # only to b_(k-1).  At the floor, 50, b_0 takes c_0 and b_i c_(i-1); b_1
+    # is left, and its one search gets stuck k - 1 times: each step lets in
+    # the edge b_i - c_i and leads on to the row holding c_i, until c_(k-1)
+    # is free.  Each next step is the cheapest exit of the whole visited
+    # tree; the root's own is 100 more
+    k = 100
+    b = Barcode([Bar(100.0 * i - 152, 100.0 * i) for i in range(k)])
+    c = Barcode([Bar(100.0 * i + 50 + i / 4 - 152, 100.0 * i + 50 + i / 4) for i in range(k - 1)]
+                + [Bar(100.0 * (k - 1) - 77.25, 100.0 * (k - 1) + 22.75)])
+    assert cheapest_exit_floor(b, c) == 50.0
+    assert same_as_full_bisection(b, c) == 50 + (k - 1) / 4
+    cost = _cost_matrix(b, c)
+    len_b, len_c = b._lengths(), c._lengths()
+    for i in range(k - 1):                # a Hall violator at each step
+        assert not _delta_feasible(cost, len_b, len_c, 50 + i / 4)
+
+
+@pytest.mark.parametrize("b, c", [
+    # b_0 takes c_0 at the floor, 1, and the search from b_1 is stuck with
+    # no exit but the half-lengths: 3 is b_0's, a visited row, which gives
+    # up c_0 to b_1 ...
+    ([(0, 6), (0, 8)], [(0, 7)]),
+    # ... and 3 is b_1's own, the root's, which ends its search
+    ([(0, 8), (0, 6)], [(0, 7)]),
+])
+def test_a_stuck_search_rises_to_a_half_length(b, c):
+    b, c = Barcode([Bar(*x) for x in b]), Barcode([Bar(*x) for x in c])
+    assert cheapest_exit_floor(b, c) == 1.0
+    assert same_as_full_bisection(b, c) == 3.0 == bottleneck_bruteforce(b, c)
+
+
+def test_a_list_made_before_a_raise_never_lowers_delta():
+    # at the floor, 1, A takes a, r takes w and R is stuck behind A; R's
+    # exit to w raises delta to 3, and w leads on to r, whose list was made
+    # at 1 and lacks x (cost 2.75; x is short).  The search is stuck again
+    # with an exit of 2.75, which the raise let in but no list had: delta
+    # stays 3, and r moves on to x
+    A, r, R = Bar(0, 13), Bar(0, 7), Bar(0, 11)
+    a, w, x = Bar(0, 12), Bar(0, 8), Bar(2.75, 4.75)
+    b, c = Barcode([A, r, R]), Barcode([a, w, x])
+    assert cheapest_exit_floor(b, c) == 1.0
+    assert same_as_full_bisection(b, c) == 3.0 == bottleneck_bruteforce(b, c)
+
+
+def test_search_follows_a_path_as_long_as_the_pool():
+    # bars of length 4 one apart along the diagonal, in the order b_(n-1),
+    # c_0, b_0, c_1, b_1, ..., b_(n-2), c_(n-1); every bar but the last
+    # mandatory.  The greedy start gives b_i c_i and leaves b_(n-1) out,
+    # and its one augmenting path runs through every row.  Once c_(n-1) is
+    # made short and moved (cost 1.5 from b_(n-2)), the search is stuck at
+    # the floor, 1, with every row in its tree, and goes on after a raise to
+    # 1.5 from the deepest of them.  Neither may cost interpreter stack depth
+    n = 1500
+    b = Barcode([Bar(2.0 * i - 2, 2.0 * i + 2) for i in range(n - 1)] + [Bar(-4.0, 0.0)])
+    for last, want in ((Bar(2.0 * n - 5, 2.0 * n - 1), 1.0), (Bar(2 * n - 4.5, 2 * n - 3.5), 1.5)):
+        c = Barcode([Bar(2.0 * j - 3, 2.0 * j + 1) for j in range(n - 1)] + [last])
+        assert cheapest_exit_floor(b, c) == 1.0
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            got = bottleneck_distance(b, c)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert got.hex() == bottleneck_by_full_bisection(b, c).hex() == want.hex()
 
 
 def test_huge_endpoints_warn_nothing_and_match_the_bruteforce():

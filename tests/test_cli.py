@@ -178,11 +178,11 @@ def test_cmd_distance(tmp_path, capsys):
 
 
 def test_cmd_distance_many_near_equal_bars(tmp_path, capsys):
-    # on 1500 stacked near-equal bars the probe graph is dense; the floor,
-    # 0.001, is the answer, and its one probe finds a perfect greedy start,
-    # so no augmenting path runs here (test_barcode's
-    # test_probe_follows_a_path_as_long_as_the_pool runs a 1500-step one
-    # under the same stack limit); the probe must cost no cubic time
+    # on 1500 stacked near-equal bars the graph at the floor is dense; the
+    # floor, 0.001, is the answer, and each side's greedy start is perfect,
+    # so no search runs here (test_barcode's
+    # test_search_follows_a_path_as_long_as_the_pool runs a 1500-step one
+    # under the same stack limit); the start must cost no cubic time
     b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
     dump_barcode(Barcode([Bar(0.0, 1 + i * 1e-6) for i in range(1500)]), str(b1))
     dump_barcode(Barcode([Bar(1e-3, 1 + 1e-3 + i * 1e-6) for i in range(1500)]), str(b2))
