@@ -74,10 +74,11 @@ class FilteredComplex:
 
     Every consumer reads one array form, a _Block per degree: the values
     in reduction order and the boundary as CSR columns mod p.
-    FilteredComplex(cells, boundary, p) checks the faces one by one,
-    converts to it and checks the arrays.  The builders fill it unchecked
-    through _of_simplices and keep vertex-index rows, from which the cells,
-    the boundary dict and the ids of a built complex are made when first read.
+    FilteredComplex(cells, boundary, p) checks the face ids and degrees
+    one by one, converts to it and checks the arrays.  The builders fill it
+    unchecked through _of_simplices and keep vertex-index rows, from which
+    the cells, the boundary dict and the ids of a built complex are made
+    when first read.
     """
 
     def __init__(self, cells: list[Cell], boundary: dict, p: int = ff.DEFAULT_P):
@@ -211,9 +212,9 @@ def _order_key(cell: Cell):
 
 
 def _convert(cells: list[Cell], boundary: dict, p: int):
-    """Check cells and boundary face by face, in the order given, and
-    convert them: the cells of each degree in reduction order, and their
-    blocks."""
+    """Check cell values, and the ids and degrees of the faces in the order
+    given, and convert them: the cells of each degree in reduction order,
+    and their blocks.  Face values are left to the array check."""
     for cell in cells:    # NaN would pass every face check below
         if not math.isfinite(cell.value):
             raise InvalidComplexError(f"cell {cell.id} has the non-finite value {cell.value}")
@@ -239,9 +240,6 @@ def _convert(cells: list[Cell], boundary: dict, p: int):
             if face.degree != c.degree - 1:
                 raise InvalidComplexError(
                     f"boundary of {c.id} (degree {c.degree}) hits degree {face.degree}")
-            if face.value > c.value:
-                raise InvalidComplexError(
-                    f"filtration increases along boundary of {c.id}")
             if coeff % p:
                 col[row] = coeff % p
         columns[c.degree][where[c.id][1]] = col
@@ -517,14 +515,16 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
 
 
 def homology_slice_bases(c: FilteredComplex, degree: int):
-    """Per filtration level: (cycle-representative basis, boundary basis)
-    of H_degree(C^{<=level}); the rows are the degree-k cells entered by
-    then, a prefix of the cells in reduction order.
+    """Per filtration level: (cycle-representative basis, boundary basis,
+    transition) of H_degree(C^{<=level}); the rows are the degree-k cells
+    entered by then, a prefix of the cells in reduction order, and the
+    transition holds the coordinates on the representatives of the classes
+    of the previous level's ones.
 
     The representatives complete the boundary basis to a basis of the
     cycle space; homology_module and the equivariant machinery both rely
     on this exact basis choice.  A level at which no cell of degree k or
-    k+1 enters repeats the previous level's slice object.
+    k+1 enters repeats the previous level's bases with the identity.
     """
     p = c.p
     values = [c._block(k).values.tolist() for k in (degree, degree + 1)]
@@ -536,25 +536,28 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
     kernel = ff.kernel_basis(d_k, p)
     # the basis vector of free column f ends with its 1 at row f
     free = [int(np.flatnonzero(col)[-1]) for col in kernel.T]
-    out, seen = [], None
+    out, seen, reps, bnd = [], None, ff.zeros(0, 0), ff.zeros(0, 0)
     for level in c.filtration_values():
         # values ascend within a degree, so each level selects a prefix
         n_k, n_kp1 = (bisect.bisect_right(v, level) for v in values)
         if (n_k, n_kp1) == seen:
             # no cell of degree k or k+1 entered: the slice is unchanged
-            out.append(out[-1])
+            out.append((reps, bnd, ff.eye(reps.shape[1])))
             continue
         seen = n_k, n_kp1
-        if not n_k:
-            out.append((ff.zeros(0, 0), ff.zeros(0, 0)))
-            continue
         cycles = kernel[:n_k, :bisect.bisect_left(free, n_k)]
+        # the cells of a level are a prefix of those of the next one
+        lift = ff.zeros(n_k, reps.shape[1])
+        lift[:reps.shape[0]] = reps
         bnd = d_kp1[:n_k, :n_kp1]
-        # a column is a pivot of [bnd | cycles] exactly when it lies outside
-        # the span of the columns before it
-        piv = np.array(ff.pivot_columns(np.hstack([bnd, cycles]), p), dtype=int)
-        nb = bnd.shape[1]
-        out.append((cycles[:, piv[piv >= nb] - nb], bnd[:, piv[piv < nb]]))
+        # a column is a pivot of [bnd | cycles | lift] exactly when it lies
+        # outside the span of the columns before it, so lift, a set of
+        # cycles, has none; row i of R holds the coordinates on pivot i
+        r, piv = ff.row_echelon(np.hstack([bnd, cycles, lift]), p)
+        piv = np.array(piv, dtype=int)
+        rows = np.flatnonzero(piv >= n_kp1)
+        reps, bnd = cycles[:, piv[rows] - n_kp1], bnd[:, piv[piv < n_kp1]]
+        out.append((reps, bnd, r[rows, n_kp1 + cycles.shape[1]:]))
     return out
 
 
@@ -575,20 +578,8 @@ def _homology_coordinates(reps: np.ndarray, bnd: np.ndarray, cycles: np.ndarray,
 
 def _module_of_slices(c: FilteredComplex, slices) -> ModuleRep:
     """The homology module in the bases homology_slice_bases chose."""
-    maps, prev = [], ff.zeros(0, 0)
-    for reps, bnd in slices:
-        if reps is prev:
-            # a repeated slice: [bnd | reps] has independent columns, so
-            # each class has a unit vector of coordinates
-            maps.append(ff.eye(reps.shape[1]))
-            continue
-        # the cells of a level are a prefix of those of the next one
-        lift = ff.zeros(reps.shape[0], prev.shape[1])
-        lift[:prev.shape[0]] = prev
-        maps.append(_homology_coordinates(reps, bnd, lift, c.p))
-        prev = reps
-    return ModuleRep(c.filtration_values(), [0] + [reps.shape[1] for reps, _ in slices],
-                     maps, c.p)
+    return ModuleRep(c.filtration_values(), [0] + [reps.shape[1] for reps, _, _ in slices],
+                     [transition for _, _, transition in slices], c.p)
 
 
 def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,

@@ -410,6 +410,8 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
     """
     if not is_delta_matching(b, c, m, delta):
         raise ValueError("matching is not a delta-matching at this delta")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     raw = [e for bar in itertools.chain(b.bars, c.bars)
            for e in (bar.birth, bar.death) if math.isfinite(e)]
     scale = max((abs(e) for e in raw), default=1.0) + 2 * abs(delta)
@@ -421,7 +423,8 @@ def interleaving_from_matching(b: Barcode, c: Barcode, m: Matching,
         lo = bar.birth if bar.birth == -INF else snap(bar.birth + s)
         hi = bar.death if bar.death == INF else snap(bar.death + s)
         if not lo < hi:
-            raise ValueError("bar shorter than the snap tolerance")
+            raise ValueError(f"at delta {delta}, the shift by {s} makes {bar} "
+                             "shorter than the snap tolerance")
         return Bar(lo, hi)
 
     # (side, s): the bars of V (side 0) or W (side 1) shifted by -s * delta,

@@ -159,7 +159,7 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
     slices = homology_slice_bases(c, degree)
     t = act.get(degree, ff.zeros(0, 0))
     action = [ff.zeros(0, 0)]
-    for reps, bnd in slices:
+    for reps, bnd, _ in slices:
         n = reps.shape[0]
         action.append(_homology_coordinates(reps, bnd, ff.matmul(t[:n, :n], reps, p), p))
     return ModuleRepWithAction(_module_of_slices(c, slices), order, action)

@@ -82,6 +82,19 @@ def test_validation_filtration_monotone():
                         {"a": {}, "b": {"a": 1}})
 
 
+def test_validation_names_the_first_raised_face_in_reduction_order():
+    # t, e1 and e2 each sit below a face; the array check names the first of
+    # them in reduction order (degree, then value), not the first one given
+    cells = [Cell("t", 2, 1.0), Cell("e1", 1, 3.0), Cell("e2", 1, 2.0),
+             Cell("a", 0, 5.0), Cell("b", 0, 5.0)]
+    boundary = {"t": {"e1": 1, "e2": 1}, "e1": {"a": 1, "b": 1}, "e2": {"a": 1, "b": 1}}
+    with pytest.raises(InvalidComplexError, match="filtration increases along boundary of e2$"):
+        FilteredComplex(cells, boundary, 2)
+    # a face whose coefficient vanishes mod p is not in the boundary
+    c = FilteredComplex([Cell("a", 0, 5.0), Cell("b", 1, 1.0)], {"b": {"a": 2}}, 2)
+    assert not c._block(1).rows.size
+
+
 def test_validation_degree_gap():
     with pytest.raises(InvalidComplexError):
         FilteredComplex([Cell("a", 0, 0), Cell("b", 2, 1)],
@@ -306,7 +319,7 @@ def test_homology_slice_bases_match_rank_selection(p):
             got = homology_slice_bases(c, degree)
             want = slice_bases_by_rank(c, degree)
             assert len(got) == len(want)
-            for (g_reps, g_bnd), (w_reps, w_bnd, w_sel) in zip(got, want):
+            for (g_reps, g_bnd, _), (w_reps, w_bnd, w_sel) in zip(got, want):
                 # each level's rows are a prefix of the cells in reduction order
                 assert w_sel == list(range(len(w_sel))) and g_reps.shape[0] == len(w_sel)
                 assert g_reps.shape == w_reps.shape and np.array_equal(g_reps, w_reps)

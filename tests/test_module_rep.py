@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -510,6 +511,23 @@ def test_interleaving_from_matching_cases():
         interleaving_from_matching(b, c, Matching([]), 0.2)
     with pytest.raises(ValueError, match="delta must be >= 0"):
         interleaving_from_matching(b, b, Matching([(0, 0)]), math.nan)
+
+
+def test_interleaving_from_matching_huge_deltas():
+    b, m = Barcode([Bar(0, 1)]), Matching([(0, 0)])
+    f, g = interleaving_from_matching(b, b, m, 0.5)
+    assert any(x.any() for x in f.components) and any(x.any() for x in g.components)
+    # is_delta_matching accepts each delta below, but no finite shift is inf
+    assert is_delta_matching(b, b, m, INF)
+    with pytest.raises(ValueError, match="^delta must be finite$"):
+        interleaving_from_matching(b, b, m, INF)
+    # the shifted endpoints of a unit bar are equal in float64 at these
+    # deltas, so the bar collapses, and the message says where
+    for delta in (1e308, 1e300):
+        assert is_delta_matching(b, b, m, delta)
+        with pytest.raises(ValueError, match=re.escape(f"at delta {delta}, ") +
+                           r".*Bar\(birth=0, death=1, .*shorter than the snap tolerance"):
+            interleaving_from_matching(b, b, m, delta)
 
 
 def test_stability_roundtrip_random():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import persimod.field as ff
 import persimod.module_rep as MR
 from persimod.barcode import Bar, Barcode, multiplicity_grid_oracle
 from persimod.complexes import FiniteMetricSpace, rips_complex
-from persimod.filtered_complex import Cell, FilteredComplex
+from persimod.filtered_complex import Cell, FilteredComplex, _dense, homology_slice_bases
 from persimod.module_rep import ModuleRep, barcode, from_barcode
 from persimod.representations import (EquivarianceError, ModuleRepWithAction,
                                       action_from_cell_map,
@@ -182,6 +183,79 @@ def test_action_from_cell_map_reads_plain_vertex_tuple_images():
         # the rotation permutes the vertex classes; the hexagon's loop it fixes
         moved = any(not np.array_equal(rho, ff.eye(rho.shape[0])) for rho in a.action)
         assert moved == (degree == 0)
+
+
+def homology_coordinates_by_solve(reps, bnd, cycles, p):
+    """Coordinates on reps of the homology classes of cycles, which must
+    lie in the span of [bnd | reps]."""
+    if not (reps.shape[1] and cycles.shape[1]):
+        return ff.zeros(reps.shape[1], cycles.shape[1])
+    return ff.solve(np.hstack([bnd, reps]), cycles, p)[bnd.shape[1]:, :]
+
+
+def action_by_solves(c, cell_map, degree):
+    """Reference: action_from_cell_map as it was before one elimination per
+    level gave the transitions, with a solve per level for each transition
+    and each action, and the identity where a slice object repeats.  Returns
+    (dims, maps, action)."""
+    p = c.p
+    where = {cell.id: (cell, i) for k in c._blocks for i, cell in enumerate(c.cells_of_degree(k))}
+    act = {k: ff.zeros(len(b.values), len(b.values)) for k, b in c._blocks.items()}
+    for cid, v in cell_map.items():
+        img, coeff = v if isinstance(v, tuple) and v not in where else (v, 1)
+        (cell, i), (target, j) = where[cid], where[img]
+        act[cell.degree][j, i] = coeff % p
+    for k in (k for k in act if k - 1 in act):
+        d = _dense(c, k)
+        assert not (ff.matmul(d, act[k], p) != ff.matmul(act[k - 1], d, p)).any()
+    slices = [(reps, bnd) for reps, bnd, _ in homology_slice_bases(c, degree)]
+    t = act.get(degree, ff.zeros(0, 0))
+    action = [ff.zeros(0, 0)]
+    for reps, bnd in slices:
+        n = reps.shape[0]
+        action.append(homology_coordinates_by_solve(reps, bnd, ff.matmul(t[:n, :n], reps, p), p))
+    maps, prev = [], ff.zeros(0, 0)
+    for reps, bnd in slices:
+        if reps is prev:
+            maps.append(ff.eye(reps.shape[1]))
+            continue
+        lift = ff.zeros(reps.shape[0], prev.shape[1])
+        lift[:prev.shape[0]] = prev
+        maps.append(homology_coordinates_by_solve(reps, bnd, lift, c.p))
+        prev = reps
+    return [0] + [reps.shape[1] for reps, _ in slices], maps, action
+
+
+def mirrored_rips(rng, p):
+    """Rips complex of a cloud in the plane and its mirror image in the
+    y axis (exact: negation rounds nothing), with the reflection that swaps
+    point i and point i + half."""
+    half = rng.randint(1, 4)
+    pts = np.array([[round(rng.uniform(0.1, 2), 2), round(rng.uniform(-1, 1), 2)]
+                    for _ in range(half)])
+    c = rips_complex(FiniteMetricSpace.from_points(np.vstack([pts, pts * [-1, 1]])),
+                     max_dim=2, p=p)
+    return c, simplicial_action_map(c, {v: (v + half) % (2 * half) for v in range(2 * half)})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_action_from_cell_map_matches_the_solve_per_level(p):
+    rng = random.Random(80 + p)
+    moved = Counter()
+    for _ in range(40):
+        c, cmap = mirrored_rips(rng, p)
+        for degree in (0, 1, 2):
+            got = action_from_cell_map(c, cmap, degree=degree, order=2)
+            dims, maps, action = action_by_solves(c, cmap, degree)
+            assert got.rep.spectrum == c.filtration_values() and got.rep.dims == dims
+            for g, w in ((got.rep.maps, maps), (got.action, action)):
+                assert [(m.dtype, m.shape, m.tobytes()) for m in g] == \
+                    [(m.dtype, m.shape, m.tobytes()) for m in w]
+            assert verify_representation(got)
+            moved[degree] += any(not np.array_equal(rho, ff.eye(len(rho))) for rho in action)
+            moved["maps"] += any(not np.array_equal(m, np.eye(*m.shape)) for m in maps[1:])
+    # the reflection swaps classes, and classes merge or die along the maps
+    assert moved[0] and moved[1] and moved["maps"]
 
 
 def cycle_walk_sign(image):
