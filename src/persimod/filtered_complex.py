@@ -75,14 +75,15 @@ class FilteredComplex:
     Every consumer reads one array form, a _Block per degree: the values
     in reduction order and the boundary as CSR columns mod p.
     FilteredComplex(cells, boundary, p) checks the face ids and degrees
-    one by one, converts to it and checks the arrays.  The builders fill it
-    unchecked through _of_simplices and keep vertex-index rows, from which
-    the cells, the boundary dict and the ids of a built complex are made
-    when first read.
+    one by one, converts to it and checks the arrays, keeping neither
+    argument.  The builders fill it unchecked through _of_simplices and
+    keep vertex-index rows.  For both, cells and boundary are views of the
+    blocks made when first read: reduction order, coefficients mod p and
+    no zero entries.
     """
 
     def __init__(self, cells: list[Cell], boundary: dict, p: int = ff.DEFAULT_P):
-        self.cells, self.boundary, self.p = cells, boundary, ff.check_characteristic(p)
+        self.p = ff.check_characteristic(p)
         self._cells, self._blocks = _convert(cells, boundary, p)
         self.__post_init__()
 
@@ -130,7 +131,7 @@ class FilteredComplex:
     def __post_init__(self):
         """The array check: faces not above their cell's value, and
         d(d) = 0.  Hand-made complexes run it; the tests run it on built ones."""
-        p, dd_fails = self.p, set()
+        p, dd_fail = self.p, None    # the first cell in reduction order with d(d) != 0
         for k in sorted(self._blocks):
             b, below = self._blocks[k], self._block(k - 1)
             if not b.rows.size:
@@ -155,16 +156,16 @@ class FilteredComplex:
             dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
             terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
             sums = np.add.reduceat(terms[order], start)
-            hit = key[start[sums % p != 0]] // n2
-            dd_fails.update((k, j) for j in hit.tolist())
-        if dd_fails:
-            ids = {self._cells[k][j].id for k, j in dd_fails}
-            raise InvalidComplexError(f"d(d({next(c.id for c in self.cells if c.id in ids)})) != 0")
+            hit = key[start[sums % p != 0]]    # ascending, so hit[0] is the first cell
+            if dd_fail is None and hit.size:
+                dd_fail = self._cells[k][hit[0] // n2]
+        if dd_fail is not None:
+            raise InvalidComplexError(f"d(d({dd_fail.id})) != 0")
 
     @cached_property
     def _cells(self) -> dict[int, list[Cell]]:
         """Cells of each degree in reduction order; only a built complex
-        makes them here, FilteredComplex(cells, ...) stores its own."""
+        makes them here, FilteredComplex(cells, ...) stores the ones given."""
         return {k: [Cell(tuple([self._labels[v] for v in row]), k, value)
                     for row, value in zip(self._vertices[k].tolist(), b.values.tolist())]
                 for k, b in self._blocks.items()}
@@ -516,48 +517,53 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
 
 def homology_slice_bases(c: FilteredComplex, degree: int):
     """Per filtration level: (cycle-representative basis, boundary basis,
-    transition) of H_degree(C^{<=level}); the rows are the degree-k cells
-    entered by then, a prefix of the cells in reduction order, and the
-    transition holds the coordinates on the representatives of the classes
-    of the previous level's ones.
+    transition, class map) of H_degree(C^{<=level}); the rows are the
+    degree-k cells entered by then, a prefix of the cells in reduction
+    order.  The class map sends a degree-k cycle on those rows to the
+    coordinates of its class on the representatives, and the transition is
+    the class map applied to the previous level's representatives.
 
     The representatives complete the boundary basis to a basis of the
     cycle space; homology_module and the equivariant machinery both rely
     on this exact basis choice.  A level at which no cell of degree k or
-    k+1 enters repeats the previous level's bases with the identity.
+    k+1 enters repeats the previous level's slice with the identity.
     """
-    p = c.p
-    values = [c._block(k).values.tolist() for k in (degree, degree + 1)]
+    p, levels = c.p, c.filtration_values()
     d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
     # faces enter no later than their cells, so the rows of d_k[:, :n_k]
     # past the faces entered are zero, and a reduced row-echelon form
     # restricts to column prefixes: each level's cycle basis is the corner
     # of one kernel basis on the free columns below n_k
     kernel = ff.kernel_basis(d_k, p)
-    # the basis vector of free column f ends with its 1 at row f
-    free = [int(np.flatnonzero(col)[-1]) for col in kernel.T]
-    out, seen, reps, bnd = [], None, ff.zeros(0, 0), ff.zeros(0, 0)
-    for level in c.filtration_values():
-        # values ascend within a degree, so each level selects a prefix
-        n_k, n_kp1 = (bisect.bisect_right(v, level) for v in values)
+    # the basis vector of free column f ends with its 1 at row f and is 0 on
+    # the other free rows, so a cycle's coordinates on the kernel basis are
+    # its entries on the free rows
+    free = np.where(kernel != 0, np.arange(len(kernel))[:, None], -1).max(axis=0, initial=-1)
+    # values ascend within a degree, so each level selects a prefix of the
+    # cells of degree k and k + 1, and of the kernel basis
+    ends_k, ends_kp1 = (np.searchsorted(c._block(k).values, levels, side="right")
+                        for k in (degree, degree + 1))
+    ends = zip(ends_k.tolist(), ends_kp1.tolist(), np.searchsorted(free, ends_k).tolist())
+    out, seen, picked = [], None, free[:0]
+    for n_k, n_kp1, m in ends:
         if (n_k, n_kp1) == seen:
             # no cell of degree k or k+1 entered: the slice is unchanged
-            out.append((reps, bnd, ff.eye(reps.shape[1])))
+            out.append((reps, bnd, ff.eye(reps.shape[1]), classes))
             continue
-        seen = n_k, n_kp1
-        cycles = kernel[:n_k, :bisect.bisect_left(free, n_k)]
-        # the cells of a level are a prefix of those of the next one
-        lift = ff.zeros(n_k, reps.shape[1])
-        lift[:reps.shape[0]] = reps
-        bnd = d_kp1[:n_k, :n_kp1]
-        # a column is a pivot of [bnd | cycles | lift] exactly when it lies
-        # outside the span of the columns before it, so lift, a set of
-        # cycles, has none; row i of R holds the coordinates on pivot i
-        r, piv = ff.row_echelon(np.hstack([bnd, cycles, lift]), p)
-        piv = np.array(piv, dtype=int)
-        rows = np.flatnonzero(piv >= n_kp1)
-        reps, bnd = cycles[:, piv[rows] - n_kp1], bnd[:, piv[piv < n_kp1]]
-        out.append((reps, bnd, r[rows, n_kp1 + cycles.shape[1]:]))
+        seen, cycles, bnd = (n_k, n_kp1), kernel[:n_k, :m], d_kp1[:n_k, :n_kp1]
+        r, piv = ff.row_echelon(np.hstack([bnd, cycles]), p)
+        nb = bisect.bisect_left(piv, n_kp1)    # the pivots ascend
+        # row i of R holds the coordinates on pivot i of every column, so
+        # coords[:, j] is the class of cycle j on the representatives
+        coords = r[nb:len(piv), n_kp1:]
+        classes = ff.zeros(len(coords), n_k)
+        classes[:, free[:m]] = coords
+        # the cells of a level are a prefix of those of the next one, so the
+        # previous representatives are the cycles picked there, whose
+        # classes are those columns of coords
+        transition, picked = coords[:, picked], np.array(piv[nb:], dtype=int) - n_kp1
+        reps, bnd = cycles[:, picked], bnd[:, piv[:nb]]
+        out.append((reps, bnd, transition, classes))
     return out
 
 
@@ -567,19 +573,10 @@ def homology_module(c: FilteredComplex, degree: int) -> ModuleRep:
     return _module_of_slices(c, homology_slice_bases(c, degree))
 
 
-def _homology_coordinates(reps: np.ndarray, bnd: np.ndarray, cycles: np.ndarray,
-                          p: int) -> np.ndarray:
-    """Coordinates on reps of the homology classes of cycles, which must
-    lie in the span of [bnd | reps]."""
-    if not (reps.shape[1] and cycles.shape[1]):
-        return ff.zeros(reps.shape[1], cycles.shape[1])
-    return ff.solve(np.hstack([bnd, reps]), cycles, p)[bnd.shape[1]:, :]
-
-
 def _module_of_slices(c: FilteredComplex, slices) -> ModuleRep:
     """The homology module in the bases homology_slice_bases chose."""
-    return ModuleRep(c.filtration_values(), [0] + [reps.shape[1] for reps, _, _ in slices],
-                     [transition for _, _, transition in slices], c.p)
+    return ModuleRep(c.filtration_values(), [0] + [reps.shape[1] for reps, _, _, _ in slices],
+                     [transition for _, _, transition, _ in slices], c.p)
 
 
 def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import field as ff
 from .barcode import Bar, Barcode, mu_odd
-from .filtered_complex import (FilteredComplex, _dense, _homology_coordinates,
-                               _module_of_slices, homology_slice_bases)
+from .filtered_complex import FilteredComplex, _dense, _module_of_slices, homology_slice_bases
 from .module_rep import ModuleRep, _restrict, barcode
 
 DEFAULT_REP_P = 5
@@ -155,11 +154,12 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
             raise EquivarianceError(
                 f"cell map is not a chain map at {c.cells_of_degree(k)[bad.argmax()].id}")
 
-    # express the action in the exact homology bases of homology_module
+    # the action in the exact homology bases of homology_module: each slice's
+    # class map read on the images of its representatives
     slices = homology_slice_bases(c, degree)
     t = act.get(degree, ff.zeros(0, 0))
     action = [ff.zeros(0, 0)]
-    for reps, bnd, _ in slices:
+    for reps, _, _, classes in slices:
         n = reps.shape[0]
-        action.append(_homology_coordinates(reps, bnd, ff.matmul(t[:n, :n], reps, p), p))
+        action.append(ff.matmul(classes, ff.matmul(t[:n, :n], reps, p), p))
     return ModuleRepWithAction(_module_of_slices(c, slices), order, action)

@@ -126,6 +126,33 @@ def test_validation_boundary_of_an_unknown_cell():
         FilteredComplex(cells, {"s": {"x": 1, "y": 1}, "S": {}}, 2)
 
 
+def test_validation_names_the_first_dd_failure_in_reduction_order():
+    # late and early both fail d(d) = 0; early enters first, though given last
+    cells = [Cell("a", 0, 0.0), Cell("b", 0, 0.0), Cell("e", 1, 1.0),
+             Cell("late", 2, 3.0), Cell("early", 2, 2.0)]
+    boundary = {"e": {"a": 1, "b": 1}, "late": {"e": 1}, "early": {"e": 1}}
+    with pytest.raises(InvalidComplexError, match=re.escape("d(d(early)) != 0")):
+        FilteredComplex(cells, boundary, 2)
+
+
+def test_cells_and_boundary_are_views_of_the_blocks():
+    # the complex keeps neither argument: what the caller changes later does
+    # not show, cells come in reduction order, coefficients mod p, zeros dropped
+    cells = [Cell("e", 1, 1.0), Cell("b", 0, 0.5), Cell("a", 0, 0.0)]
+    boundary = {"e": {"a": 4, "b": 3}}
+    c = FilteredComplex(cells, boundary, 3)
+    boundary["e"]["a"] = 2
+    cells.append(Cell("z", 0, 9.0))
+    assert c.cells == [Cell("a", 0, 0.0), Cell("b", 0, 0.5), Cell("e", 1, 1.0)]
+    assert c.boundary == {"a": {}, "b": {}, "e": {"a": 1}}
+    # a built complex and its hand-made copy give the same views, order included
+    built = rips_complex(FiniteMetricSpace.from_points([[0, 0], [1, 0], [0, 2], [3, 1]]),
+                         max_dim=2, p=5)
+    copy = FilteredComplex(built.cells[::-1], built.boundary, 5)
+    assert copy.cells == built.cells
+    assert list(copy.boundary.items()) == list(built.boundary.items())
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_validation_non_finite_cell_value(value):
     # NaN passed every face check (each comparison with it is false) and
@@ -319,7 +346,7 @@ def test_homology_slice_bases_match_rank_selection(p):
             got = homology_slice_bases(c, degree)
             want = slice_bases_by_rank(c, degree)
             assert len(got) == len(want)
-            for (g_reps, g_bnd, _), (w_reps, w_bnd, w_sel) in zip(got, want):
+            for (g_reps, g_bnd, _, _), (w_reps, w_bnd, w_sel) in zip(got, want):
                 # each level's rows are a prefix of the cells in reduction order
                 assert w_sel == list(range(len(w_sel))) and g_reps.shape[0] == len(w_sel)
                 assert g_reps.shape == w_reps.shape and np.array_equal(g_reps, w_reps)

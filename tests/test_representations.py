@@ -10,7 +10,8 @@ import persimod.field as ff
 import persimod.module_rep as MR
 from persimod.barcode import Bar, Barcode, multiplicity_grid_oracle
 from persimod.complexes import FiniteMetricSpace, rips_complex
-from persimod.filtered_complex import Cell, FilteredComplex, _dense, homology_slice_bases
+from persimod.filtered_complex import (Cell, FilteredComplex, _dense, homology_slice_bases,
+                                       random_filtered_complex)
 from persimod.module_rep import ModuleRep, barcode, from_barcode
 from persimod.representations import (EquivarianceError, ModuleRepWithAction,
                                       action_from_cell_map,
@@ -208,7 +209,7 @@ def action_by_solves(c, cell_map, degree):
     for k in (k for k in act if k - 1 in act):
         d = _dense(c, k)
         assert not (ff.matmul(d, act[k], p) != ff.matmul(act[k - 1], d, p)).any()
-    slices = [(reps, bnd) for reps, bnd, _ in homology_slice_bases(c, degree)]
+    slices = [(reps, bnd) for reps, bnd, _, _ in homology_slice_bases(c, degree)]
     t = act.get(degree, ff.zeros(0, 0))
     action = [ff.zeros(0, 0)]
     for reps, bnd in slices:
@@ -238,24 +239,69 @@ def mirrored_rips(rng, p):
     return c, simplicial_action_map(c, {v: (v + half) % (2 * half) for v in range(2 * half)})
 
 
+def rotated_circulant(rng, order, p):
+    """Rips complex of points whose distances depend only on the number of
+    steps between them around a cycle, as for the hexagon above, with the
+    rotation by n / order steps, of that order.  The distances lie in
+    [1, 2], so the triangle inequality holds."""
+    n = rng.choice([n for n in (4, 6, 8, 9) if n % order == 0])
+    steps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    gaps = np.array([0.0] + [round(rng.uniform(1, 2), 2) for _ in range(n // 2)])
+    c = rips_complex(FiniteMetricSpace(gaps[np.minimum(steps, n - steps)]), max_dim=2, p=p)
+    return c, simplicial_action_map(c, {v: (v + n // order) % n for v in range(n)})
+
+
+# orders g of the rotations per field, each with x^g - 1 split over F_p
+ROTATION_ORDERS = {3: (), 5: (4,), 7: (3, 6)}
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_action_from_cell_map_matches_the_solve_per_level(p):
     rng = random.Random(80 + p)
+    cases = [(*mirrored_rips(rng, p), 2) for _ in range(40)]
+    cases += [(*rotated_circulant(rng, g, p), g) for g in ROTATION_ORDERS[p] for _ in range(8)]
     moved = Counter()
-    for _ in range(40):
-        c, cmap = mirrored_rips(rng, p)
+    for c, cmap, order in cases:
         for degree in (0, 1, 2):
-            got = action_from_cell_map(c, cmap, degree=degree, order=2)
+            got = action_from_cell_map(c, cmap, degree=degree, order=order)
             dims, maps, action = action_by_solves(c, cmap, degree)
             assert got.rep.spectrum == c.filtration_values() and got.rep.dims == dims
             for g, w in ((got.rep.maps, maps), (got.action, action)):
                 assert [(m.dtype, m.shape, m.tobytes()) for m in g] == \
                     [(m.dtype, m.shape, m.tobytes()) for m in w]
             assert verify_representation(got)
-            moved[degree] += any(not np.array_equal(rho, ff.eye(len(rho))) for rho in action)
+            turned = any(not np.array_equal(rho, ff.eye(len(rho))) for rho in action)
+            moved[degree] += turned
+            moved[f"order {order}"] += turned
             moved["maps"] += any(not np.array_equal(m, np.eye(*m.shape)) for m in maps[1:])
-    # the reflection swaps classes, and classes merge or die along the maps
+    # the symmetry moves classes, and classes merge or die along the maps
     assert moved[0] and moved[1] and moved["maps"]
+    assert all(moved[f"order {g}"] for g in ROTATION_ORDERS[p])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_class_map_reads_classes_on_the_representatives(p):
+    # at every level the class map kills the boundaries, is the identity on
+    # the representatives, and gives any cycle the coordinates a solve finds
+    rng = random.Random(90 + p)
+    complexes = [random_filtered_complex(rng, max_cells=25, max_degree=3, p=p)
+                 for _ in range(20)]
+    complexes += [mirrored_rips(rng, p)[0] for _ in range(10)]
+    for c in complexes:
+        for degree in range(c.max_degree + 1):
+            d_k = _dense(c, degree)
+            for reps, bnd, _, classes in homology_slice_bases(c, degree):
+                n, dim = reps.shape
+                assert classes.shape == (dim, n)
+                assert not ff.matmul(classes, bnd, p).any()
+                assert np.array_equal(ff.matmul(classes, reps, p), ff.eye(dim))
+                # random cycles, boundaries added
+                span = np.hstack([ff.kernel_basis(d_k[:, :n], p), bnd])
+                pick = np.array([[rng.randrange(p) for _ in range(4)]
+                                 for _ in range(span.shape[1])], dtype=np.int64)
+                z = ff.matmul(span, pick.reshape(-1, 4), p)
+                assert np.array_equal(ff.matmul(classes, z, p),
+                                      homology_coordinates_by_solve(reps, bnd, z, p))
 
 
 def cycle_walk_sign(image):
