@@ -154,6 +154,17 @@ def _nerve(n: int, max_dim: int, own, p: int) -> FilteredComplex:
     return FilteredComplex._of_simplices(range(n), _repr_rank(range(n)), subsets, value, p)
 
 
+def _sorted_rows(given: np.ndarray) -> np.ndarray:
+    """np.sort(given, axis=1) for integer rows, by odd-even transposition:
+    w rounds of compare-exchange between neighbouring columns sort rows of
+    width w, each pass one np.minimum and np.maximum over whole columns."""
+    cols = list(given.T)
+    for start in range(len(cols)):
+        for t in range(start % 2, len(cols) - 1, 2):
+            cols[t], cols[t + 1] = np.minimum(cols[t], cols[t + 1]), np.maximum(cols[t], cols[t + 1])
+    return np.stack(cols, axis=1)
+
+
 def _lower_star(labels: Sequence, rank, simplices: list, vertex_values, p: int) -> FilteredComplex:
     """Each simplex enters at the max of its vertex values over its sorted
     row, as a Triangulation's sorted simplex would; simplices[k] holds the
@@ -162,7 +173,7 @@ def _lower_star(labels: Sequence, rank, simplices: list, vertex_values, p: int) 
     vv = np.array(vertex_values, dtype=float)
     if (bad := np.flatnonzero(~np.isfinite(vv))).size:
         raise ValueError(f"vertex {labels[bad[0]]!r} has the non-finite value {vv[bad[0]]}")
-    rows = [np.sort(given, axis=1) for given in simplices]
+    rows = [_sorted_rows(given) for given in simplices]
     return FilteredComplex._of_simplices(labels, rank, rows,
                                          lambda k, _: _first_max(vv[rows[k]].T), p)
 

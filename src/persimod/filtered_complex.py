@@ -18,6 +18,7 @@ a forest of apparent pairs.  Pairings travel as index arrays.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -117,7 +118,7 @@ class FilteredComplex:
             by_tie = np.argsort(tie)    # the codes are distinct
             keys.append(tie[by_tie])
             values = value(k, values[faces] if k else None)[by_tie]
-            place = np.argsort(values, kind="stable")
+            place = _stable_order(values)
             order = by_tie[place]    # reduction index -> row
             m = k + 1 if k else 0    # faces per cell
             face_rows = where[faces.take(order, axis=0)].ravel() if k else np.zeros(0, np.int64)
@@ -205,6 +206,25 @@ def _index(keys: list, ranked: np.ndarray, n: int) -> np.ndarray:
     for d in range(1, ranked.shape[1]):
         idx = np.searchsorted(keys[d], idx * n + ranked[:, d])
     return idx
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """np.argsort(values, kind="stable") for values without NaN, from two
+    unstable sorts: the values', which numbers the runs of equal values in
+    order, then the sort of run number * 2^s + index, with 2^s > len(values),
+    whose keys are distinct.  Each temporary is freed once the next is made."""
+    s = len(values).bit_length()
+    first = np.argsort(values)
+    ranked = values[first]
+    # each place's run number; the first place (a False, or nothing) opens run 0
+    code = np.concatenate((ranked[:1] != ranked[:1], ranked[1:] != ranked[:-1])).cumsum()
+    del ranked
+    code <<= s
+    code |= first
+    del first
+    code.sort()
+    code &= (1 << s) - 1
+    return code
 
 
 def _order_key(cell: Cell):
@@ -337,6 +357,12 @@ def _reduce(block: _Block, p: int, cleared=np.False_) -> np.ndarray:
     field, and is never cleared.  numpy finds these pairs, the loop skips
     them, and an apparent column is made only if a later one subtracts it.
 
+    A looped column finds its lowest row in a lazy max-heap of its negated
+    rows (Ripser's working coboundary): each subtraction pushes the rows
+    it brings in, and a row it cancels stays in the heap until it reaches
+    the top and is popped there.  Every row of the column is in the heap,
+    so its first top still in the column is the column's lowest row.
+
     Returns each column's pivot: the row it pairs with, or -1.
     """
     n, ptr = len(block.values), block.indptr.tolist()
@@ -358,17 +384,26 @@ def _reduce(block: _Block, p: int, cleared=np.False_) -> np.ndarray:
     low[~apparent] = -1    # from here on low[j] is j's pair, -1 while unpaired
     for j in np.flatnonzero(todo).tolist():
         col = column(j)
+        heap = [-r for r in col]
+        heapq.heapify(heap)
         while col:
-            r = max(col)
+            r = -heap[0]
+            if r not in col:
+                heapq.heappop(heap)
+                continue
             i = low_to_col.get(r)
             if i is None:
                 low_to_col[r], paired[j], low[j] = j, col, r
                 break
             other = paired[i] if i in paired else paired.setdefault(i, column(i))
             if p == 2:
+                fresh = other - col
                 col ^= other
-            else:
+            else:    # a row absent from col comes in with a nonzero coefficient
+                fresh = [x for x in other if x not in col]
                 _subtract(col, other, col[r] * ff.inv_mod(other[r], p) % p, p)
+            for x in fresh:
+                heapq.heappush(heap, -x)
     return low
 
 
@@ -377,7 +412,8 @@ def _coboundary(c: FilteredComplex, k: int) -> _Block:
     n_k-1-t, and row r is degree-(k+1) cell n_{k+1}-1-r."""
     below, b = c._block(k), c._block(k + 1)
     t = len(below.values) - 1 - b.rows
-    order = np.argsort(t * len(t) + np.arange(len(t)))    # unique keys: the stable order
+    # the narrowest unsigned type that holds t, which numpy radix-sorts up to 16 bits
+    order = np.argsort(t.astype(np.min_scalar_type(len(below.values))), kind="stable")
     return _Block(below.values[::-1],
                   np.concatenate(([0], np.cumsum(np.bincount(t, minlength=len(below.values))))),
                   (len(b.values) - 1 - b.entry_cols())[order], b.coeffs[order])
@@ -395,7 +431,9 @@ def _union_find_pairing(edges: _Block, n_vertices: int, p: int,
     jumping roots this forest.  On a row's path to its root every edge
     comes before any edge that touches the row, so an edge whose rows
     share a root pairs with nothing, nor does a cleared one.  The elder
-    rule then runs on the roots of the edges left, in column order."""
+    rule then runs on the roots of the edges left, in column order, and
+    stops once it has joined all the roots they touch: every later edge
+    closes a cycle."""
     counts = edges.indptr[1:] - edges.indptr[:-1]
     if (counts != 2).any() or (edges.coeffs[::2] != p - edges.coeffs[1::2]).any():
         return None
@@ -410,8 +448,12 @@ def _union_find_pairing(edges: _Block, n_vertices: int, p: int,
         root = root[root]
     a, b = root[lo], root[hi]
     left = np.flatnonzero(live & ~apparent & (a != b))
+    a, b = a[left], b[left]
+    touched = np.zeros(n_vertices, bool)
+    touched[a] = touched[b] = True
+    joins = np.count_nonzero(touched) - 1    # the merges that join all the touched roots
     parent = list(range(n_vertices))
-    for j, u, v in zip(left.tolist(), a[left].tolist(), b[left].tolist()):
+    for j, u, v in zip(left.tolist(), a.tolist(), b.tolist()):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -421,6 +463,9 @@ def _union_find_pairing(edges: _Block, n_vertices: int, p: int,
                 u, v = v, u
             parent[u] = v
             pivots[j] = u
+            joins -= 1
+            if not joins:
+                break
     return pivots
 
 

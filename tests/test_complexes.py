@@ -16,7 +16,7 @@ from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
                                 parse_point_cloud, regular_polygon_points,
                                 rips_barcode, rips_complex,
                                 sublevel_filtration, torus_grid_complex,
-                                tree_metric_net, _nerve)
+                                tree_metric_net, _nerve, _sorted_rows)
 from persimod.filtered_complex import (Cell, FilteredComplex, InvalidComplexError,
                                        _order_key, barcode_of_complex)
 
@@ -326,6 +326,21 @@ def test_rips_degree0_deaths_are_mst_weights():
 
 def cell_table(c):
     return {cell.id: (cell.degree, cell.value) for cell in c.cells}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_sorted_rows_are_np_sort(width):
+    rng = np.random.default_rng(190 + width)
+    # every 0-1 row, which by the 0-1 principle proves the network, and
+    # random rows with repeats
+    cases = [np.array(list(itertools.product([0, 1], repeat=width))),
+             np.array(list(itertools.permutations(range(width)))),
+             np.zeros((0, width), np.int64)]
+    cases += [rng.integers(0, 5, size=(m, width)) for m in (1, 7, 500)]
+    for given in cases:
+        got, want = _sorted_rows(given), np.sort(given, axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_rips_matches_max_pairwise_distance():

@@ -15,8 +15,8 @@ from persimod.complexes import (FiniteMetricSpace, GridFunction, PointCloud,
                                 Triangulation, cech_complex, circle_complex, drop_top_degree,
                                 rips_complex, sublevel_filtration, torus_grid_complex)
 from persimod.filtered_complex import (Cell, FilteredComplex, _coboundary, _dense,
-                                       _Block, _cohomology_pairing, _reduce,
-                                       _union_find_pairing,
+                                       _Block, _cohomology_pairing, _reduce, _stable_order,
+                                       _subtract, _union_find_pairing,
                                        InvalidComplexError, barannikov_reduce,
                                        barcode_of_complex,
                                        boundary_depth_usher, homology_module,
@@ -450,6 +450,116 @@ def coboundary_by_stable_sort(c, k):
                   (len(b.values) - 1 - b.entry_cols())[order], b.coeffs[order])
 
 
+def reduce_by_rescan(block: _Block, p: int, cleared=np.False_) -> np.ndarray:
+    """The rescan oracle: _reduce as it was before its lazy heap, finding
+    each lowest row by max() over the column.
+
+    Low-driven column reduction over F_p: each column in turn subtracts
+    earlier paired columns until its lowest row is new, and pairs with
+    that row, or it vanishes.  Over F_2 a column is a set of rows and each
+    subtraction one symmetric difference (sets, not bitmasks: a
+    coboundary's rows range over all cells of the degree above, so a
+    bitmask column would be as long as that degree); otherwise it is a
+    {row: coeff} dict.  Only the columns that pair are kept.  The columns
+    set in the boolean mask cleared are known to vanish and are skipped.
+
+    Column j is apparent when no column before it has an entry in its
+    lowest row.  The reduced columns before j combine columns before j,
+    so none has its low there: j pairs with that row untouched, over any
+    field, and is never cleared.  numpy finds these pairs, the loop skips
+    them, and an apparent column is made only if a later one subtracts it.
+
+    Returns each column's pivot: the row it pairs with, or -1.
+    """
+    n, ptr = len(block.values), block.indptr.tolist()
+    # reduceat misreads empty segments, so it sees only the non-empty columns
+    nonempty = np.flatnonzero(block.indptr[1:] > block.indptr[:-1])
+    low = np.full(n, -1)
+    low[nonempty] = np.maximum.reduceat(block.rows, block.indptr[nonempty])
+    left = np.full(block.rows.max(initial=-1) + 1, n)    # row -> first column with an entry there
+    np.minimum.at(left, block.rows, block.entry_cols())
+    apparent = np.zeros(n, bool)
+    apparent[nonempty] = left[low[nonempty]] == nonempty
+    low_to_col, paired = dict(zip(low[apparent].tolist(), np.flatnonzero(apparent).tolist())), {}
+
+    def column(j):
+        rows = block.rows[ptr[j]:ptr[j + 1]].tolist()
+        return set(rows) if p == 2 else dict(zip(rows, block.coeffs[ptr[j]:ptr[j + 1]].tolist()))
+
+    todo = (low >= 0) & ~apparent & ~cleared    # an empty column vanishes as it is
+    low[~apparent] = -1    # from here on low[j] is j's pair, -1 while unpaired
+    for j in np.flatnonzero(todo).tolist():
+        col = column(j)
+        while col:
+            r = max(col)
+            i = low_to_col.get(r)
+            if i is None:
+                low_to_col[r], paired[j], low[j] = j, col, r
+                break
+            other = paired[i] if i in paired else paired.setdefault(i, column(i))
+            if p == 2:
+                col ^= other
+            else:
+                _subtract(col, other, col[r] * ff.inv_mod(other[r], p) % p, p)
+    return low
+
+
+def route_blocks(c):
+    """The coboundaries the pairing route reduces, with its clearing."""
+    partner = _cohomology_pairing(c)
+    return [(_coboundary(c, k), (partner[k] >= 0)[::-1]) for k in range(c.max_degree)]
+
+
+def every_block(c):
+    """Every boundary block, and every coboundary with no clearing and with
+    the route's."""
+    route = route_blocks(c)
+    return [(c._block(k), np.False_) for k in range(c.max_degree + 1)] + \
+        [(block, np.False_) for block, _ in route] + route
+
+
+def assert_pivots_match_the_rescan(c, blocks):
+    """_reduce gives the rescan oracle's pivot arrays on each (block,
+    cleared) pair; returns how many columns pair."""
+    paired = 0
+    for block, cleared in blocks:
+        got = _reduce(block, c.p, cleared)
+        assert np.array_equal(got, reduce_by_rescan(block, c.p, cleared))
+        paired += np.count_nonzero(got >= 0)
+    return paired
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_heap_pivots_match_the_rescan_on_random_complexes(p):
+    rng = random.Random(150 + p)
+    for _ in range(125):
+        c = random_filtered_complex(rng, max_cells=40, max_degree=3, p=p)
+        assert_pivots_match_the_rescan(c, every_block(c))
+
+
+def tied_rips_complexes(rng, p):
+    """Rips complexes to dimension 2 on 20 to 60 points: clouds on a small
+    integer grid, so distances tie and points coincide, and symmetric
+    matrices of small integers, which tie and need not be metric."""
+    for n in (20, 33, 47, 60):
+        pts = rng.integers(0, 6, size=(n, 2))
+        yield rips_complex(FiniteMetricSpace.from_points(pts), 2, p)
+        d = np.triu(rng.integers(1, 5, size=(n, n)), 1).astype(float)
+        yield rips_complex(FiniteMetricSpace(d + d.T), 2, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_heap_pivots_match_the_rescan_on_builders(p):
+    rng = np.random.default_rng(160 + p)
+    for _ in range(4):
+        for c in builder_complexes(rng, p):
+            assert assert_pivots_match_the_rescan(c, every_block(c))
+    # the full reductions of the larger Rips blocks take seconds with either
+    # routine, so these check the blocks the pairing route reduces
+    for c in tied_rips_complexes(rng, p):
+        assert assert_pivots_match_the_rescan(c, route_blocks(c))
+
+
 def assert_same_pairing(c):
     """The pairing route (union-find and coboundaries with clearing) and
     the boundary reduction both find the pairing of the dense oracle, and
@@ -631,6 +741,56 @@ def test_parallel_edges_and_ties_keep_the_pairing(p):
         c = FilteredComplex(cells, boundary, p)
         assert _union_find_pairing(c._block(1), n, p) is not None
         assert_same_pairing(c)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_forest_on_isolated_rows_and_disconnected_graphs(p):
+    # the elder rule stops once the roots its edges touch are joined: that
+    # count must leave out isolated rows and still join every component
+    rng = random.Random(170 + p)
+    for _ in range(60):
+        n = rng.randint(4, 16)
+        groups = [g for g in np.array_split(rng.sample(range(n), n), rng.randint(2, 4)) if len(g)]
+        cells, boundary = [Cell(v, 0, rng.choice([0, 1, 2])) for v in range(n)], {}
+        # the first group stays isolated vertices; edges join vertices of one other group
+        for g in (g.tolist() for g in groups[1:] if len(g) > 1):
+            for e in range(rng.randint(len(g) - 1, 3 * len(g))):
+                u, v = rng.sample(g, 2)
+                a = rng.randrange(1, p)
+                cells.append(Cell(f"e{u}-{v}-{e}", 1, rng.choice([2, 3, 4])))
+                boundary[f"e{u}-{v}-{e}"] = {u: a, v: p - a}
+        c = FilteredComplex(cells, boundary, p)
+        forest = _union_find_pairing(c._block(1), n, p)
+        assert forest is not None
+        assert np.array_equal(forest, _reduce(c._block(1), p))
+        assert_same_pairing(c)
+
+
+@pytest.mark.parametrize("n", [300, 70_000])
+def test_coboundary_of_a_wide_degree_is_the_stable_sort(n):
+    # the column keys take uint16 below 65,536 cells and uint32 above
+    c = circle_complex(np.random.default_rng(n).normal(size=n).round(1).tolist(), 2)
+    for got, want in zip(_coboundary(c, 0), coboundary_by_stable_sort(c, 0)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_stable_order_is_the_stable_argsort():
+    rng = np.random.default_rng(180)
+    cases = [np.zeros(0), np.zeros(1), np.array([0.0, -0.0, 0.0, -0.0, -1.0]),
+             rng.choice([0.0, -0.0], size=2000), rng.choice([0.0, -0.0, 1.0, 2.5], size=70_000),
+             rng.integers(0, 3, size=5000).astype(float), rng.normal(size=3000),
+             np.repeat(rng.normal(size=40), 50)]
+    for values in cases:
+        order = _stable_order(values)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(values, kind="stable"))
+    # a builder orders its cells by it, keeping the zero signs of the stable order
+    values = rng.choice([0.0, -0.0, 1.0], size=500)
+    c = FilteredComplex._of_simplices(range(500), np.arange(500), [np.arange(500)[:, None]],
+                                      lambda k, _: values, 2)
+    order = np.argsort(values, kind="stable")
+    assert np.array_equal(c._vertices[0][:, 0], order)
+    assert c._block(0).values.tobytes() == values[order].tobytes()
 
 
 def test_long_forest_path_on_a_circle():
