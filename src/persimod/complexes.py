@@ -307,7 +307,7 @@ def _torus_squares(nx: int, ny: int):
     (i+1, j), (i, j+1), (i+1, j+1) of every square."""
     a = np.arange(nx * ny).reshape(nx, ny)
     b, c = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
-    return ([(i, j) for i in range(nx) for j in range(ny)],
+    return (list(itertools.product(range(nx), range(ny))),
             [v.ravel() for v in (a, b, c, np.roll(b, -1, axis=1))])
 
 

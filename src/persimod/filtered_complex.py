@@ -568,46 +568,54 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
     coordinates of its class on the representatives, and the transition is
     the class map applied to the previous level's representatives.
 
-    The representatives complete the boundary basis to a basis of the
-    cycle space; homology_module and the equivariant machinery both rely
-    on this exact basis choice.  A level at which no cell of degree k or
-    k+1 enters repeats the previous level's slice with the identity.
+    The two bases are the pivot columns of [boundaries | cycles], a choice
+    that homology_module and the equivariant machinery both rely on.  A
+    level at which no cell of degree k or k+1 enters repeats the previous
+    level's slice with the identity.
     """
     p, levels = c.p, c.filtration_values()
     d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
-    # faces enter no later than their cells, so the rows of d_k[:, :n_k]
-    # past the faces entered are zero, and a reduced row-echelon form
-    # restricts to column prefixes: each level's cycle basis is the corner
-    # of one kernel basis on the free columns below n_k
+    # faces enter no later than their cells, so each level's cycles are a
+    # corner of one kernel basis, whose vectors are the identity on the free
+    # rows: a cycle's (or boundary's) coordinates on it are its entries there
     kernel = ff.kernel_basis(d_k, p)
-    # the basis vector of free column f ends with its 1 at row f and is 0 on
-    # the other free rows, so a cycle's coordinates on the kernel basis are
-    # its entries on the free rows
     free = np.where(kernel != 0, np.arange(len(kernel))[:, None], -1).max(axis=0, initial=-1)
     # values ascend within a degree, so each level selects a prefix of the
     # cells of degree k and k + 1, and of the kernel basis
     ends_k, ends_kp1 = (np.searchsorted(c._block(k).values, levels, side="right")
                         for k in (degree, degree + 1))
     ends = zip(ends_k.tolist(), ends_kp1.tolist(), np.searchsorted(free, ends_k).tolist())
-    out, seen, picked = [], None, free[:0]
+    # rows basis[l] span the boundaries entered: 1 at their low l (last nonzero
+    # entry), 0 at the other lows, cut after l.  Modulo boundaries cycle l is
+    # e_l - basis[l], on the kept cycles (at no low): table[kept, j] is j's class
+    out, seen, picked = [], (-1, 0), free[:0]
+    basis, pivots, table, kept = {}, [], ff.eye(len(free)), np.ones(len(free), bool)
     for n_k, n_kp1, m in ends:
         if (n_k, n_kp1) == seen:
-            # no cell of degree k or k+1 entered: the slice is unchanged
             out.append((reps, bnd, ff.eye(reps.shape[1]), classes))
             continue
-        seen, cycles, bnd = (n_k, n_kp1), kernel[:n_k, :m], d_kp1[:n_k, :n_kp1]
-        r, piv = ff.row_echelon(np.hstack([bnd, cycles]), p)
-        nb = bisect.bisect_left(piv, n_kp1)    # the pivots ascend
-        # row i of R holds the coordinates on pivot i of every column, so
-        # coords[:, j] is the class of cycle j on the representatives
-        coords = r[nb:len(piv), n_kp1:]
-        classes = ff.zeros(len(coords), n_k)
-        classes[:, free[:m]] = coords
-        # the cells of a level are a prefix of those of the next one, so the
-        # previous representatives are the cycles picked there, whose
-        # classes are those columns of coords
-        transition, picked = coords[:, picked], np.array(piv[nb:], dtype=int) - n_kp1
-        reps, bnd = cycles[:, picked], bnd[:, piv[:nb]]
+        for j in range(seen[1], n_kp1):
+            # a basis row is 0 at the other lows, so one pass clears them all
+            col = d_kp1[free, j].tolist()
+            for low, v in basis.items():
+                if f := col[low]:
+                    col[:low + 1] = [(a - f * b) % p for a, b in zip(col, v)]
+            low = next((i for i in range(len(col) - 1, -1, -1) if col[i]), None)
+            if low is not None:
+                inv = ff.inv_mod(col[low], p)
+                v = [a * inv % p for a in col[:low + 1]]
+                for l, w in basis.items():
+                    if l > low and (f := w[low]):
+                        w[:low + 1] = [(a - f * b) % p for a, b in zip(w, v)]
+                        table[:l + 1, l] = [-a % p for a in w]
+                basis[low], table[:low + 1, low], kept[low] = v, [-a % p for a in v], False
+                pivots.append(j)
+        seen, now = (n_k, n_kp1), kept[:m].nonzero()[0]
+        classes = ff.zeros(len(now), n_k)
+        classes[:, free[:m]] = coords = table[now, :m]
+        # the previous level's representatives are the cycles picked there
+        transition, picked = coords[:, picked], now
+        reps, bnd = kernel[:n_k, picked], d_kp1[:n_k, pivots]
         out.append((reps, bnd, transition, classes))
     return out
 

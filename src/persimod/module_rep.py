@@ -97,29 +97,31 @@ def barcode(v: ModuleRep) -> Barcode:
     the input was not a persistence module.
     """
     n1 = len(v.dims)
-    identity = [np.array_equal(m, ff.eye(len(m))) for m in v.maps]
-    # b[i, j] = rank p_{i,j}, zero outside 1 <= i <= j <= N+1
-    b = np.zeros((n1 + 2, n1 + 2), dtype=np.int64)
+    eyes = {d: ff.eye(d) for d in {*v.dims, *map(len, v.maps)}}
+    identity = [np.array_equal(m, eyes[len(m)]) for m in v.maps]
+    # b[i][j] = rank p_{i,j}, zero outside 1 <= i <= j <= N+1
+    b = [[0] * (n1 + 2) for _ in range(n1 + 2)]
     for i in range(n1, 0, -1):
         if i < n1 and identity[i - 1]:
             # p_i is the identity, so p_{i,j} = p_{i+1,j}
-            b[i] = b[i + 1]
-            b[i, i] = v.dims[i - 1]
+            b[i] = b[i + 1][:]
+            b[i][i] = v.dims[i - 1]
             continue
         # m is a column basis of the image of p_{i,j}
-        m = ff.eye(v.dims[i - 1])
-        b[i, i] = v.dims[i - 1]
+        m, row = eyes[v.dims[i - 1]], b[i]
+        row[i] = v.dims[i - 1]
         for j in range(i + 1, n1 + 1):
-            if not b[i, j - 1]:
+            if not row[j - 1]:
                 # p_{i,j-1} = 0, and every later composite factors through it
                 break
             if identity[j - 2]:
-                b[i, j] = b[i, j - 1]
+                row[j] = row[j - 1]
                 continue
             m = ff.matmul(v.maps[j - 2], m, v.p)
             m = m[:, ff.pivot_columns(m, v.p)]
-            b[i, j] = m.shape[1]
+            row[j] = m.shape[1]
 
+    b = np.array(b, dtype=np.int64)
     # mult[i, j - 1] = m_ij for 0 <= i < j <= N+1
     mult = np.triu(b[1:-1, 1:-1] + b[:-2, 2:] - b[:-2, 1:-1] - b[1:-1, 2:])
     endpoints = [-INF] + list(v.spectrum) + [INF]

@@ -397,6 +397,113 @@ def test_homology_module_matches_the_level_by_level_build(p):
                 [(m.dtype, m.shape, m.tobytes()) for m in maps]
 
 
+def slice_bases_by_elimination(c: FilteredComplex, degree: int):
+    """Reference: homology_slice_bases as it was before one reduction of the
+    boundaries in cycle coordinates replaced an elimination per level.
+
+    Per filtration level: (cycle-representative basis, boundary basis,
+    transition, class map) of H_degree(C^{<=level}); the rows are the
+    degree-k cells entered by then, a prefix of the cells in reduction
+    order.  The class map sends a degree-k cycle on those rows to the
+    coordinates of its class on the representatives, and the transition is
+    the class map applied to the previous level's representatives.
+
+    The representatives complete the boundary basis to a basis of the
+    cycle space; homology_module and the equivariant machinery both rely
+    on this exact basis choice.  A level at which no cell of degree k or
+    k+1 enters repeats the previous level's slice with the identity.
+    """
+    p, levels = c.p, c.filtration_values()
+    d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
+    # faces enter no later than their cells, so the rows of d_k[:, :n_k]
+    # past the faces entered are zero, and a reduced row-echelon form
+    # restricts to column prefixes: each level's cycle basis is the corner
+    # of one kernel basis on the free columns below n_k
+    kernel = ff.kernel_basis(d_k, p)
+    # the basis vector of free column f ends with its 1 at row f and is 0 on
+    # the other free rows, so a cycle's coordinates on the kernel basis are
+    # its entries on the free rows
+    free = np.where(kernel != 0, np.arange(len(kernel))[:, None], -1).max(axis=0, initial=-1)
+    # values ascend within a degree, so each level selects a prefix of the
+    # cells of degree k and k + 1, and of the kernel basis
+    ends_k, ends_kp1 = (np.searchsorted(c._block(k).values, levels, side="right")
+                        for k in (degree, degree + 1))
+    ends = zip(ends_k.tolist(), ends_kp1.tolist(), np.searchsorted(free, ends_k).tolist())
+    out, seen, picked = [], None, free[:0]
+    for n_k, n_kp1, m in ends:
+        if (n_k, n_kp1) == seen:
+            # no cell of degree k or k+1 entered: the slice is unchanged
+            out.append((reps, bnd, ff.eye(reps.shape[1]), classes))
+            continue
+        seen, cycles, bnd = (n_k, n_kp1), kernel[:n_k, :m], d_kp1[:n_k, :n_kp1]
+        r, piv = ff.row_echelon(np.hstack([bnd, cycles]), p)
+        nb = bisect.bisect_left(piv, n_kp1)    # the pivots ascend
+        # row i of R holds the coordinates on pivot i of every column, so
+        # coords[:, j] is the class of cycle j on the representatives
+        coords = r[nb:len(piv), n_kp1:]
+        classes = ff.zeros(len(coords), n_k)
+        classes[:, free[:m]] = coords
+        # the cells of a level are a prefix of those of the next one, so the
+        # previous representatives are the cycles picked there, whose
+        # classes are those columns of coords
+        transition, picked = coords[:, picked], np.array(piv[nb:], dtype=int) - n_kp1
+        reps, bnd = cycles[:, picked], bnd[:, piv[:nb]]
+        out.append((reps, bnd, transition, classes))
+    return out
+
+
+def random_simplicial(rng, nv, p):
+    """Random simplicial complex on nv vertices with half of the edges and
+    half of the triangles those edges allow, each cell at least its faces:
+    the shape of the inputs of the benchmark's module-oracle workload."""
+    value = {(v,): round(rng.uniform(0, 10), 2) for v in range(nv)}
+    edges = list(itertools.combinations(range(nv), 2))
+    for e in sorted(rng.sample(edges, len(edges) // 2)):
+        value[e] = max(value[(e[0],)], value[(e[1],)], round(rng.uniform(0, 10), 2))
+    triangles = [t for t in itertools.combinations(range(nv), 3)
+                 if all(t[:j] + t[j + 1:] in value for j in range(3))]
+    for t in sorted(rng.sample(triangles, len(triangles) // 2)):
+        value[t] = max(max(value[t[:j] + t[j + 1:]] for j in range(3)), round(rng.uniform(0, 10), 2))
+    boundary = {s: {s[:j] + s[j + 1:]: (-1) ** j % p for j in range(len(s))} if len(s) > 1 else {}
+                for s in value}
+    return FilteredComplex([Cell(s, len(s) - 1, u) for s, u in value.items()], boundary, p)
+
+
+def mirrored_cloud(n, p):
+    """Rips complex (dim 2) of n / 2 noisy points on the right half of the
+    unit circle and their mirror images in the y axis."""
+    rng = np.random.default_rng(n)
+    t = rng.uniform(-math.pi / 2, math.pi / 2, n // 2)
+    pts = np.c_[np.cos(t), np.sin(t)] + rng.normal(0, 0.1, (n // 2, 2))
+    return rips_complex(FiniteMetricSpace.from_points(np.vstack([pts, pts * [-1, 1]])), 2, p)
+
+
+def slice_cases(p):
+    rng = random.Random(90 + p)
+    for _ in range(30):
+        c = random_filtered_complex(rng, max_cells=40, max_degree=3, p=p)
+        yield c
+        # whole-number values: many cells of every degree enter together
+        yield FilteredComplex([Cell(x.id, x.degree, float(math.floor(x.value)))
+                               for x in c.cells], c.boundary, p)
+    for nv in (5, 6, 7, 8) * 3:
+        yield random_simplicial(rng, nv, p)
+    if p > 2:
+        yield mirrored_cloud({3: 12, 5: 14, 7: 16}[p], p)
+    yield FilteredComplex([], {}, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_homology_slice_bases_match_the_elimination_per_level(p):
+    def parts(slices):
+        return [tuple((m.dtype, m.shape, m.tobytes()) for m in s) for s in slices]
+
+    for c in slice_cases(p):
+        for degree in range(-1, c.max_degree + 2):
+            assert parts(homology_slice_bases(c, degree)) == \
+                parts(slice_bases_by_elimination(c, degree))
+
+
 @pytest.mark.parametrize("p", [2, 5])
 def test_cell_list_order_does_not_matter(p):
     rng = random.Random(40 + p)
