@@ -4,7 +4,7 @@ the complex-structure parity obstruction and the Z4 lower bound.
 
 Eigenspace arguments need -1 != 1 and, for order-4 checks, a square root
 of -1, so representations live over an odd characteristic; F_5 works
-(2^2 = 4 = -1) and is the default.
+(2^2 = 4 = -1).
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from . import field as ff
 from .barcode import Bar, Barcode, mu_odd
 from .filtered_complex import FilteredComplex, _dense, _module_of_slices, homology_slice_bases
 from .module_rep import ModuleRep, _restrict, barcode
-
-DEFAULT_REP_P = 5
-
 
 class EquivarianceError(ValueError):
     """Action fails to commute with the transition maps."""
@@ -124,42 +121,45 @@ def simplicial_action_map(c: FilteredComplex, vertex_map: dict) -> dict:
 
 def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
                          order: int) -> ModuleRepWithAction:
-    """Push a (signed) cell permutation through homology.
+    """Push a signed cell map through homology.
 
     cell_map sends every cell id to (image id, coefficient) or to a plain
     image id, meaning coefficient 1; a value that is itself a cell id is
     read as a plain image, so vertex-tuple ids of built complexes work in
-    both forms.  The map must be a filtration-preserving chain map; its
-    action on each homology slice is computed in the same bases as
-    homology_module, so the result pairs with that module.
+    both forms.  Any filtration-preserving chain map that sends each cell
+    to a multiple of one cell will do, not only a permutation.  Its action
+    on each homology slice is computed in the same bases as homology_module,
+    so the result pairs with that module.
     """
     p = c.p
+    dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
     where = {cell.id: (cell, i) for k in c._blocks for i, cell in enumerate(c.cells_of_degree(k))}
-    act = {k: ff.zeros(len(b.values), len(b.values)) for k, b in c._blocks.items()}
+    image = {k: np.zeros(len(c._block(k).values), np.int64) for k in {*c._blocks, degree}}
+    coeff = {k: np.zeros(len(rows), dtype) for k, rows in image.items()}    # the products' dtype
     for cid, v in cell_map.items():
-        img, coeff = v if isinstance(v, tuple) and v not in where else (v, 1)
+        img, a = v if isinstance(v, tuple) and v not in where else (v, 1)
         (cell, i), (target, j) = where[cid], where[img]
         if cell.degree != target.degree:
             raise ValueError("cell map must preserve degree")
         if cell.value != target.value:
             raise ValueError("cell map must preserve the filtration")
-        act[cell.degree][j, i] = coeff % p
+        image[cell.degree][i], coeff[cell.degree][i] = j, int(a % p)
     if len(cell_map) < len(where):
         raise KeyError(next(cid for cid in where if cid not in cell_map))
-    # chain map check: d_k T_k = T_{k-1} d_k
-    for k in (k for k in act if k - 1 in act):
+
+    def push(k: int, m: np.ndarray) -> np.ndarray:
+        """T_k m for m on the first len(m) cells of degree k; shared images add up."""
+        out = np.zeros(m.shape, dtype)
+        np.add.at(out, image[k][:len(m)], coeff[k][:len(m), None] * m % p)
+        return (out % p).astype(np.int64)
+    # chain map check: d_k T_k = T_{k-1} d_k, T_k a column gather
+    for k in (k for k in c._blocks if k - 1 in c._blocks):
         d = _dense(c, k)
-        bad = (ff.matmul(d, act[k], p) != ff.matmul(act[k - 1], d, p)).any(axis=0)
+        bad = (d[:, image[k]] * coeff[k] % p != push(k - 1, d)).any(axis=0)
         if bad.any():
             raise EquivarianceError(
                 f"cell map is not a chain map at {c.cells_of_degree(k)[bad.argmax()].id}")
-
-    # the action in the exact homology bases of homology_module: each slice's
-    # class map read on the images of its representatives
+    # each slice's class map read on the images of its representatives
     slices = homology_slice_bases(c, degree)
-    t = act.get(degree, ff.zeros(0, 0))
-    action = [ff.zeros(0, 0)]
-    for reps, _, _, classes in slices:
-        n = reps.shape[0]
-        action.append(ff.matmul(classes, ff.matmul(t[:n, :n], reps, p), p))
-    return ModuleRepWithAction(_module_of_slices(c, slices), order, action)
+    action = [ff.matmul(classes, push(degree, reps), p) for reps, _, _, classes in slices]
+    return ModuleRepWithAction(_module_of_slices(c, slices), order, [ff.zeros(0, 0)] + action)

@@ -133,8 +133,17 @@ def test_action_from_cell_map_rejects_non_chain_maps():
         [Cell("x", 0, 1.0), Cell("y", 0, 1.0), Cell("s", 1, 2.0)],
         {"x": {}, "y": {}, "s": {"x": 1, "y": 4}}, p=5)
     bad = {"x": ("y", 1), "y": ("x", 1), "s": ("s", 1)}  # missing the sign
-    with pytest.raises(EquivarianceError):
+    with pytest.raises(EquivarianceError, match="^cell map is not a chain map at s$"):
         action_from_cell_map(teeth, bad, degree=0, order=2)
+    # s, t and N all fail; the first of them in reduction order (degree, then
+    # value) is named, not the first given
+    teeth = FilteredComplex(
+        [Cell("N", 2, 4.0), Cell("t", 1, 3.0), Cell("s", 1, 2.0), Cell("x", 0, 1.0),
+         Cell("y", 0, 1.0)],
+        {"N": {"s": 1, "t": 4}, "t": {"x": 1, "y": 4}, "s": {"x": 1, "y": 4}}, p=5)
+    bad = {"N": ("N", 4), "t": "t", "s": "s", "x": "y", "y": "x"}
+    with pytest.raises(EquivarianceError, match="^cell map is not a chain map at s$"):
+        action_from_cell_map(teeth, bad, degree=1, order=2)
 
 
 def test_action_from_cell_map_rejects_broken_maps():
@@ -227,7 +236,7 @@ def action_by_solves(c, cell_map, degree):
     return [0] + [reps.shape[1] for reps, _ in slices], maps, action
 
 
-def mirrored_rips(rng, p):
+def mirrored_rips(rng, p, max_dim=2):
     """Rips complex of a cloud in the plane and its mirror image in the
     y axis (exact: negation rounds nothing), with the reflection that swaps
     point i and point i + half."""
@@ -235,7 +244,7 @@ def mirrored_rips(rng, p):
     pts = np.array([[round(rng.uniform(0.1, 2), 2), round(rng.uniform(-1, 1), 2)]
                     for _ in range(half)])
     c = rips_complex(FiniteMetricSpace.from_points(np.vstack([pts, pts * [-1, 1]])),
-                     max_dim=2, p=p)
+                     max_dim=max_dim, p=p)
     return c, simplicial_action_map(c, {v: (v + half) % (2 * half) for v in range(2 * half)})
 
 
@@ -277,6 +286,56 @@ def test_action_from_cell_map_matches_the_solve_per_level(p):
     # the symmetry moves classes, and classes merge or die along the maps
     assert moved[0] and moved[1] and moved["maps"]
     assert all(moved[f"order {g}"] for g in ROTATION_ORDERS[p])
+
+
+def action_matching_the_solves(c, cmap, degree, order):
+    """action_from_cell_map, checked byte for byte against action_by_solves."""
+    got = action_from_cell_map(c, cmap, degree=degree, order=order)
+    dims, maps, action = action_by_solves(c, cmap, degree)
+    assert got.rep.spectrum == c.filtration_values() and got.rep.dims == dims
+    for g, w in ((got.rep.maps, maps), (got.action, action)):
+        assert [(m.dtype, m.shape, m.tobytes()) for m in g] == \
+            [(m.dtype, m.shape, m.tobytes()) for m in w]
+    return got
+
+
+def test_action_from_cell_map_over_a_large_prime():
+    # entries near 2^61 multiply past 2^63: both sides of the chain map check
+    # and the images of the representatives need exact products
+    p, rng = 2 ** 61 - 1, random.Random(61)
+    for _ in range(4):
+        c, cmap = mirrored_rips(rng, p, max_dim=3)
+        assert p - 1 in {coeff for _, coeff in cmap.values()}
+        for degree in range(4):
+            assert verify_representation(action_matching_the_solves(c, cmap, degree, 2))
+    # three faces going to one: their terms in T_0 d_1 sum to 2p, past 2^63
+    p = 2 ** 63 - 25
+    fan = FilteredComplex([Cell(v, 0, 0.0) for v in "xyz"] + [Cell("s", 1, 1.0)],
+                          {"s": {"x": 1, "y": 1, "z": 1}}, p)
+    squash = {"x": ("x", p - 1), "y": ("x", p - 1), "z": ("x", 2), "s": ("s", 0)}
+    for degree in range(3):
+        action_matching_the_solves(fan, squash, degree, 1)
+
+
+def test_action_from_cell_map_edge_inputs_match_the_solves():
+    teeth = FilteredComplex(
+        [Cell("x", 0, 1.0), Cell("y", 0, 1.0), Cell("s", 1, 2.0), Cell("N", 2, 4.0)],
+        {"x": {}, "y": {}, "s": {"x": 1, "y": 4}, "N": {}}, p=5)
+    # x and y both go to x, so d(s) = x - y goes to 0 and s to 0 * s: the
+    # images of two cells add up, in the chain map check and in T * reps
+    squash = {"x": "x", "y": "x", "s": ("s", 0), "N": "N"}
+    for degree in (-1, 0, 1, 2, 3):
+        action_matching_the_solves(teeth, squash, degree, 1)
+    assert action_matching_the_solves(teeth, squash, 0, 1).action[1].tolist() == [[1, 1], [0, 0]]
+    for degree in (-1, 0, 1):
+        r = action_matching_the_solves(FilteredComplex([], {}, p=5), {}, degree, 2)
+        assert r.rep.dims == [0] and verify_representation(r)
+    # no cells in degrees -1 and max + 1: zero slices at every level
+    rng = random.Random(85)
+    for c, cmap in [mirrored_rips(rng, 5) for _ in range(6)] + [rotated_circulant(rng, 4, 5)]:
+        for degree in (-1, c.max_degree + 1):
+            r = action_matching_the_solves(c, cmap, degree, 4)
+            assert set(r.rep.dims) == {0} and verify_representation(r)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
