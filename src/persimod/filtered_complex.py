@@ -67,6 +67,26 @@ _NO_CELLS = _Block(np.zeros(0), np.zeros(1, np.int64), np.zeros(0, np.int64),
                    np.zeros(0, np.int64))
 
 
+def _product(a: _Block, b: _Block, n_rows: int, p: int):
+    """The terms of a·b, unsummed, for CSR blocks a (n_rows rows) and b:
+    entry (r, j, v) of b meets entry (r2, r, v2) of a in the term v2·v mod p
+    at the key j·n_rows + r2.  Returns (keys, terms)."""
+    n = (a.indptr[1:] - a.indptr[:-1])[b.rows]
+    end = np.cumsum(n)
+    sub = np.repeat(a.indptr[b.rows] - end + n, n) + np.arange(n.sum())
+    dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
+    terms = np.repeat(b.coeffs, n).astype(dtype) * a.coeffs[sub].astype(dtype) % p
+    return np.repeat(b.entry_cols(), n) * n_rows + a.rows[sub], terms
+
+
+def _nonzero_sums(keys: np.ndarray, terms: np.ndarray, p: int) -> np.ndarray:
+    """The keys whose terms sum to nonzero mod p, in ascending order."""
+    order = np.argsort(keys, kind="stable")    # fast on keys grouped by column
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))    # the keys are >= 0
+    return keys[start[np.add.reduceat(terms[order], start) % p != 0]]
+
+
 class FilteredComplex:
     """Graded cells with filtration values and a field-coefficient boundary.
 
@@ -142,23 +162,11 @@ class FilteredComplex:
             if raised.any():
                 raise InvalidComplexError(
                     f"filtration increases along boundary of {self._cells[k][cols[raised][0]].id}")
-            # entry (r, j, v) of d_k meets entry (r2, r, v2) of d_{k-1} in
-            # (r2, j, v * v2); d(d) = 0 when these sum to 0 for each (r2, j)
-            n = (below.indptr[1:] - below.indptr[:-1])[b.rows]
-            end = np.cumsum(n)
-            if not end[-1]:
+            if dd_fail is not None or not below.rows.size:    # found, or faces without faces
                 continue
-            sub = np.repeat(below.indptr[b.rows] - end + n, n) + np.arange(end[-1])
             n2 = len(self._block(k - 2).values)
-            key = np.repeat(cols, n) * n2 + below.rows[sub]
-            order = np.argsort(key, kind="stable")    # fast on keys grouped by column
-            key = key[order]
-            start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            dtype = np.int64 if p < 2 ** 31 else object    # products past 2^63 need Python ints
-            terms = np.repeat(b.coeffs, n).astype(dtype) * below.coeffs[sub].astype(dtype) % p
-            sums = np.add.reduceat(terms[order], start)
-            hit = key[start[sums % p != 0]]    # ascending, so hit[0] is the first cell
-            if dd_fail is None and hit.size:
+            hit = _nonzero_sums(*_product(below, b, n2, p), p)
+            if hit.size:    # ascending, so hit[0] // n2 is the first cell
                 dd_fail = self._cells[k][hit[0] // n2]
         if dd_fail is not None:
             raise InvalidComplexError(f"d(d({dd_fail.id})) != 0")
@@ -561,25 +569,26 @@ def boundary_depth_usher(c: FilteredComplex) -> float:
 
 
 def homology_slice_bases(c: FilteredComplex, degree: int):
-    """Per filtration level: (cycle-representative basis, boundary basis,
-    transition, class map) of H_degree(C^{<=level}); the rows are the
-    degree-k cells entered by then, a prefix of the cells in reduction
-    order.  The class map sends a degree-k cycle on those rows to the
-    coordinates of its class on the representatives, and the transition is
-    the class map applied to the previous level's representatives.
+    """Per filtration level: (cycle-representative basis, transition, class
+    map) of H_degree(C^{<=level}); the rows are the degree-k cells entered
+    by then, a prefix of the cells in reduction order.  The class map sends
+    a degree-k cycle on those rows to the coordinates of its class on the
+    representatives, and the transition is the class map applied to the
+    previous level's representatives.
 
-    The two bases are the pivot columns of [boundaries | cycles], a choice
-    that homology_module and the equivariant machinery both rely on.  A
-    level at which no cell of degree k or k+1 enters repeats the previous
-    level's slice with the identity.
+    The representatives are the cycles among the pivot columns of
+    [boundaries | cycles], a choice that homology_module and the
+    equivariant machinery both rely on; the boundaries are read from the
+    block of d_{k+1}.  A level at which no cell of degree k or k+1 enters
+    repeats the previous level's slice with the identity.
     """
     p, levels = c.p, c.filtration_values()
-    d_k, d_kp1 = _dense(c, degree), _dense(c, degree + 1)
     # faces enter no later than their cells, so each level's cycles are a
     # corner of one kernel basis, whose vectors are the identity on the free
     # rows: a cycle's (or boundary's) coordinates on it are its entries there
-    kernel = ff.kernel_basis(d_k, p)
+    kernel = ff.kernel_basis(_dense(c, degree), p)
     free = np.where(kernel != 0, np.arange(len(kernel))[:, None], -1).max(axis=0, initial=-1)
+    columns, rows = c._block(degree + 1).columns(), free.tolist()
     # values ascend within a degree, so each level selects a prefix of the
     # cells of degree k and k + 1, and of the kernel basis
     ends_k, ends_kp1 = (np.searchsorted(c._block(k).values, levels, side="right")
@@ -589,14 +598,14 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
     # entry), 0 at the other lows, cut after l.  Modulo boundaries cycle l is
     # e_l - basis[l], on the kept cycles (at no low): table[kept, j] is j's class
     out, seen, picked = [], (-1, 0), free[:0]
-    basis, pivots, table, kept = {}, [], ff.eye(len(free)), np.ones(len(free), bool)
+    basis, table, kept = {}, ff.eye(len(free)), np.ones(len(free), bool)
     for n_k, n_kp1, m in ends:
         if (n_k, n_kp1) == seen:
-            out.append((reps, bnd, ff.eye(reps.shape[1]), classes))
+            out.append((reps, ff.eye(reps.shape[1]), classes))
             continue
         for j in range(seen[1], n_kp1):
             # a basis row is 0 at the other lows, so one pass clears them all
-            col = d_kp1[free, j].tolist()
+            col = list(map(columns[j].get, rows, itertools.repeat(0)))
             for low, v in basis.items():
                 if f := col[low]:
                     col[:low + 1] = [(a - f * b) % p for a, b in zip(col, v)]
@@ -609,14 +618,12 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
                         w[:low + 1] = [(a - f * b) % p for a, b in zip(w, v)]
                         table[:l + 1, l] = [-a % p for a in w]
                 basis[low], table[:low + 1, low], kept[low] = v, [-a % p for a in v], False
-                pivots.append(j)
         seen, now = (n_k, n_kp1), kept[:m].nonzero()[0]
         classes = ff.zeros(len(now), n_k)
         classes[:, free[:m]] = coords = table[now, :m]
         # the previous level's representatives are the cycles picked there
-        transition, picked = coords[:, picked], now
-        reps, bnd = kernel[:n_k, picked], d_kp1[:n_k, pivots]
-        out.append((reps, bnd, transition, classes))
+        transition, picked, reps = coords[:, picked], now, kernel[:n_k, now]
+        out.append((reps, transition, classes))
     return out
 
 
@@ -628,8 +635,8 @@ def homology_module(c: FilteredComplex, degree: int) -> ModuleRep:
 
 def _module_of_slices(c: FilteredComplex, slices) -> ModuleRep:
     """The homology module in the bases homology_slice_bases chose."""
-    return ModuleRep(c.filtration_values(), [0] + [reps.shape[1] for reps, _, _, _ in slices],
-                     [transition for _, _, transition, _ in slices], c.p)
+    return ModuleRep(c.filtration_values(), [0] + [reps.shape[1] for reps, _, _ in slices],
+                     [transition for _, transition, _ in slices], c.p)
 
 
 def random_filtered_complex(rng, max_cells: int = 30, max_degree: int = 2,

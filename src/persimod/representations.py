@@ -17,7 +17,8 @@ import numpy as np
 
 from . import field as ff
 from .barcode import Bar, Barcode, mu_odd
-from .filtered_complex import FilteredComplex, _dense, _module_of_slices, homology_slice_bases
+from .filtered_complex import (FilteredComplex, _Block, _module_of_slices, _nonzero_sums, _product,
+                              homology_slice_bases)
 from .module_rep import ModuleRep, _restrict, barcode
 
 class EquivarianceError(ValueError):
@@ -147,19 +148,21 @@ def action_from_cell_map(c: FilteredComplex, cell_map: dict, degree: int,
     if len(cell_map) < len(where):
         raise KeyError(next(cid for cid in where if cid not in cell_map))
 
-    def push(k: int, m: np.ndarray) -> np.ndarray:
-        """T_k m for m on the first len(m) cells of degree k; shared images add up."""
-        out = np.zeros(m.shape, dtype)
-        np.add.at(out, image[k][:len(m)], coeff[k][:len(m), None] * m % p)
-        return (out % p).astype(np.int64)
-    # chain map check: d_k T_k = T_{k-1} d_k, T_k a column gather
+    # T_k as a block, one entry per column: cell i goes to coeff[k][i] times cell image[k][i]
+    t = {k: _Block(c._block(k).values, np.arange(len(rows) + 1), rows, coeff[k])
+         for k, rows in image.items()}
+    # chain map check: T_{k-1} d_k - d_k T_k = 0, summed by (column, row) key as d(d) is
     for k in (k for k in c._blocks if k - 1 in c._blocks):
-        d = _dense(c, k)
-        bad = (d[:, image[k]] * coeff[k] % p != push(k - 1, d)).any(axis=0)
-        if bad.any():
+        n, d = len(c._block(k - 1).values), c._block(k)
+        (left, a), (right, b) = _product(t[k - 1], d, n, p), _product(d, t[k], n, p)
+        hit = _nonzero_sums(np.concatenate((left, right)), np.concatenate((a, -b % p)), p)
+        if hit.size:
             raise EquivarianceError(
-                f"cell map is not a chain map at {c.cells_of_degree(k)[bad.argmax()].id}")
+                f"cell map is not a chain map at {c.cells_of_degree(k)[hit[0] // n].id}")
     # each slice's class map read on the images of its representatives
-    slices = homology_slice_bases(c, degree)
-    action = [ff.matmul(classes, push(degree, reps), p) for reps, _, _, classes in slices]
-    return ModuleRepWithAction(_module_of_slices(c, slices), order, [ff.zeros(0, 0)] + action)
+    slices, action = homology_slice_bases(c, degree), [ff.zeros(0, 0)]
+    for reps, _, classes in slices:
+        images = np.zeros(reps.shape, dtype)    # T_degree reps; shared images add up
+        np.add.at(images, image[degree][:len(reps)], coeff[degree][:len(reps), None] * reps % p)
+        action.append(ff.matmul(classes, (images % p).astype(np.int64), p))
+    return ModuleRepWithAction(_module_of_slices(c, slices), order, action)

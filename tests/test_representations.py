@@ -146,6 +146,21 @@ def test_action_from_cell_map_rejects_non_chain_maps():
         action_from_cell_map(teeth, bad, degree=1, order=2)
 
 
+def test_action_from_cell_map_names_the_failing_cell_past_the_first_column():
+    # T commutes with d in degrees 0 and 1; of the two degree-2 cells only
+    # B, the second in reduction order, fails.  Its faces are the last two of
+    # four edges, so only the number of edges reads its keys back to B
+    edges = {e: {"x": 1, "y": 4} for e in "stuv"}
+    teeth = FilteredComplex(
+        [Cell("x", 0, 1.0), Cell("y", 0, 1.0)] + [Cell(e, 1, 2.0) for e in edges]
+        + [Cell("A", 2, 3.0), Cell("B", 2, 4.0)],
+        {**edges, "A": {"s": 1, "t": 4}, "B": {"u": 1, "v": 4}}, p=5)
+    good = {**{v: v for v in "xystuvA"}, "B": ("B", 1)}
+    assert verify_representation(action_from_cell_map(teeth, good, degree=1, order=1))
+    with pytest.raises(EquivarianceError, match="^cell map is not a chain map at B$"):
+        action_from_cell_map(teeth, {**good, "B": ("B", 2)}, degree=1, order=1)
+
+
 def test_action_from_cell_map_rejects_broken_maps():
     teeth = FilteredComplex(
         [Cell("x", 0, 1.0), Cell("y", 0, 1.0), Cell("z", 0, 1.5), Cell("s", 1, 2.0),
@@ -195,6 +210,15 @@ def test_action_from_cell_map_reads_plain_vertex_tuple_images():
         assert moved == (degree == 0)
 
 
+def with_boundary_bases(c, degree):
+    """homology_slice_bases with each slice's boundary basis put back second:
+    the pivot columns of d_{k+1} on the cells entered by the level."""
+    d_kp1 = _dense(c, degree + 1)
+    ends = np.searchsorted(c._block(degree + 1).values, c.filtration_values(), side="right")
+    return [(reps, d_kp1[:len(reps), ff.pivot_columns(d_kp1[:len(reps), :n], c.p)], t, classes)
+            for (reps, t, classes), n in zip(homology_slice_bases(c, degree), ends.tolist())]
+
+
 def homology_coordinates_by_solve(reps, bnd, cycles, p):
     """Coordinates on reps of the homology classes of cycles, which must
     lie in the span of [bnd | reps]."""
@@ -218,7 +242,7 @@ def action_by_solves(c, cell_map, degree):
     for k in (k for k in act if k - 1 in act):
         d = _dense(c, k)
         assert not (ff.matmul(d, act[k], p) != ff.matmul(act[k - 1], d, p)).any()
-    slices = [(reps, bnd) for reps, bnd, _, _ in homology_slice_bases(c, degree)]
+    slices = [(reps, bnd) for reps, bnd, _, _ in with_boundary_bases(c, degree)]
     t = act.get(degree, ff.zeros(0, 0))
     action = [ff.zeros(0, 0)]
     for reps, bnd in slices:
@@ -349,7 +373,7 @@ def test_class_map_reads_classes_on_the_representatives(p):
     for c in complexes:
         for degree in range(c.max_degree + 1):
             d_k = _dense(c, degree)
-            for reps, bnd, _, classes in homology_slice_bases(c, degree):
+            for reps, bnd, _, classes in with_boundary_bases(c, degree):
                 n, dim = reps.shape
                 assert classes.shape == (dim, n)
                 assert not ff.matmul(classes, bnd, p).any()
