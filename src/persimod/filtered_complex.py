@@ -578,9 +578,10 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
 
     The representatives are the cycles among the pivot columns of
     [boundaries | cycles], a choice that homology_module and the
-    equivariant machinery both rely on; the boundaries are read from the
-    block of d_{k+1}.  A level at which no cell of degree k or k+1 enters
-    repeats the previous level's slice with the identity.
+    equivariant machinery both rely on; the boundaries, read from the
+    block of d_{k+1}, are reduced inside the class map.  A level at which
+    no cell of degree k or k+1 enters repeats the previous level's slice
+    with the identity.
     """
     p, levels = c.p, c.filtration_values()
     # faces enter no later than their cells, so each level's cycles are a
@@ -588,37 +589,34 @@ def homology_slice_bases(c: FilteredComplex, degree: int):
     # rows: a cycle's (or boundary's) coordinates on it are its entries there
     kernel = ff.kernel_basis(_dense(c, degree), p)
     free = np.where(kernel != 0, np.arange(len(kernel))[:, None], -1).max(axis=0, initial=-1)
-    columns, rows = c._block(degree + 1).columns(), free.tolist()
+    # d_{k+1} in kernel coordinates: a row off the free rows reads table's zero last column
+    block, at = c._block(degree + 1), np.full(len(kernel), len(free))
+    at[free] = np.arange(len(free))
+    place, ptr = at[block.rows], block.indptr.tolist()
     # values ascend within a degree, so each level selects a prefix of the
     # cells of degree k and k + 1, and of the kernel basis
     ends_k, ends_kp1 = (np.searchsorted(c._block(k).values, levels, side="right")
                         for k in (degree, degree + 1))
     ends = zip(ends_k.tolist(), ends_kp1.tolist(), np.searchsorted(free, ends_k).tolist())
-    # rows basis[l] span the boundaries entered: 1 at their low l (last nonzero
-    # entry), 0 at the other lows, cut after l.  Modulo boundaries cycle l is
-    # e_l - basis[l], on the kept cycles (at no low): table[kept, j] is j's class
+    # table is the class map on kernel coordinates: the boundaries entered
+    # reduce to rows w_l, 1 at their low l (last nonzero entry) and 0 at the
+    # other lows; column l is e_l - w_l, and e_l at a kept cycle (diagonal 1)
     out, seen, picked = [], (-1, 0), free[:0]
-    basis, table, kept = {}, ff.eye(len(free)), np.ones(len(free), bool)
+    table = np.eye(len(free), len(free) + 1, dtype=np.int64, order="F")
     for n_k, n_kp1, m in ends:
         if (n_k, n_kp1) == seen:
             out.append((reps, ff.eye(reps.shape[1]), classes))
             continue
-        for j in range(seen[1], n_kp1):
-            # a basis row is 0 at the other lows, so one pass clears them all
-            col = list(map(columns[j].get, rows, itertools.repeat(0)))
-            for low, v in basis.items():
-                if f := col[low]:
-                    col[:low + 1] = [(a - f * b) % p for a, b in zip(col, v)]
-            low = next((i for i in range(len(col) - 1, -1, -1) if col[i]), None)
-            if low is not None:
-                inv = ff.inv_mod(col[low], p)
-                v = [a * inv % p for a in col[:low + 1]]
-                for l, w in basis.items():
-                    if l > low and (f := w[low]):
-                        w[:low + 1] = [(a - f * b) % p for a, b in zip(w, v)]
-                        table[:l + 1, l] = [-a % p for a in w]
-                basis[low], table[:low + 1, low], kept[low] = v, [-a % p for a in v], False
-        seen, now = (n_k, n_kp1), kept[:m].nonzero()[0]
+        for a, b in itertools.pairwise(ptr[seen[1]:n_kp1 + 1]):
+            # x - sum of x[l] w_l: the boundary x reduced by the rows so far
+            col = ff.matmul(table[:, place[a:b]], block.coeffs[a:b], p)
+            if (nonzero := col.nonzero()[0]).size:
+                # the new row col / col[low], back-substituted (column low's too)
+                low = nonzero[-1]
+                hit = table[low].nonzero()[0]
+                scale = ff.matmul(np.array([[ff.inv_mod(col[low], p)]]), table[low:low + 1, hit], p)
+                table[:, hit] = (table[:, hit] - ff.matmul(col[:, None], scale, p)) % p
+        seen, now = (n_k, n_kp1), table.diagonal()[:m].nonzero()[0]
         classes = ff.zeros(len(now), n_k)
         classes[:, free[:m]] = coords = table[now, :m]
         # the previous level's representatives are the cycles picked there

@@ -98,7 +98,7 @@ def barcode(v: ModuleRep) -> Barcode:
     """
     n1 = len(v.dims)
     eyes = {d: ff.eye(d) for d in {*v.dims, *map(len, v.maps)}}
-    identity = [np.array_equal(m, eyes[len(m)]) for m in v.maps]
+    identity = [m.shape == (e := eyes[len(m)]).shape and m.tobytes() == e.tobytes() for m in v.maps]
     # b[i][j] = rank p_{i,j}, zero outside 1 <= i <= j <= N+1
     b = [[0] * (n1 + 2) for _ in range(n1 + 2)]
     for i in range(n1, 0, -1):

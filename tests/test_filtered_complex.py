@@ -512,11 +512,11 @@ def slice_cases(p):
     for nv in (5, 6, 7, 8) * 3:
         yield random_simplicial(rng, nv, p)
     if p > 2:
-        yield mirrored_cloud({3: 12, 5: 14, 7: 16}[p], p)
+        yield mirrored_cloud({3: 12, 5: 14, 7: 16, 2 ** 61 - 1: 12}[p], p)
     yield FilteredComplex([], {}, p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 61 - 1])
 def test_homology_slice_bases_match_the_elimination_per_level(p):
     def parts(slices):
         return [tuple((m.dtype, m.shape, m.tobytes()) for m in s) for s in slices]

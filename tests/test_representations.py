@@ -10,8 +10,7 @@ import persimod.field as ff
 import persimod.module_rep as MR
 from persimod.barcode import Bar, Barcode, multiplicity_grid_oracle
 from persimod.complexes import FiniteMetricSpace, rips_complex
-from persimod.filtered_complex import (Cell, FilteredComplex, _dense, homology_slice_bases,
-                                       random_filtered_complex)
+from persimod.filtered_complex import Cell, FilteredComplex, _dense, random_filtered_complex
 from persimod.module_rep import ModuleRep, barcode, from_barcode
 from persimod.representations import (EquivarianceError, ModuleRepWithAction,
                                       action_from_cell_map,
@@ -21,6 +20,7 @@ from persimod.representations import (EquivarianceError, ModuleRepWithAction,
                                       verify_representation,
                                       z4_obstruction_bound)
 from persimod.reproduce import rectangle_pmi
+from test_filtered_complex import with_boundary_bases
 
 INF = math.inf
 
@@ -208,15 +208,6 @@ def test_action_from_cell_map_reads_plain_vertex_tuple_images():
         # the rotation permutes the vertex classes; the hexagon's loop it fixes
         moved = any(not np.array_equal(rho, ff.eye(rho.shape[0])) for rho in a.action)
         assert moved == (degree == 0)
-
-
-def with_boundary_bases(c, degree):
-    """homology_slice_bases with each slice's boundary basis put back second:
-    the pivot columns of d_{k+1} on the cells entered by the level."""
-    d_kp1 = _dense(c, degree + 1)
-    ends = np.searchsorted(c._block(degree + 1).values, c.filtration_values(), side="right")
-    return [(reps, d_kp1[:len(reps), ff.pivot_columns(d_kp1[:len(reps), :n], c.p)], t, classes)
-            for (reps, t, classes), n in zip(homology_slice_bases(c, degree), ends.tolist())]
 
 
 def homology_coordinates_by_solve(reps, bnd, cycles, p):
